@@ -3,7 +3,8 @@
 
 Usage:
     check_regression.py --baseline BENCH_pipeline.json --candidate out.json \
-                        [--threshold 0.25] [--strict-context]
+                        [--threshold 0.25] [--strict-context] \
+                        [--ratio 'NUM/DEN<=X' ...]
 
 Policy (the CI perf gate):
   * Benchmarks are matched by name. For runs with repetitions, the `median`
@@ -16,6 +17,11 @@ Policy (the CI perf gate):
     so mismatched contexts downgrade every regression to a warning.
   * Missing benchmarks (in either direction) warn — renames should update
     the baseline in the same PR.
+  * A --ratio NUM/DEN<=X check reads the candidate alone: it FAILS whenever
+    the wall time of benchmark NUM exceeds X times that of benchmark DEN, on
+    any host, because both sides ran on the same machine in the same run.
+    Wall (real) time, not CPU time: google-benchmark's CPU time is the
+    calling thread's alone and leaves out pool workers.
 
 The exit code is the contract; the report on stdout is for the CI log.
 """
@@ -66,6 +72,44 @@ def metric(entry):
     return float(entry["cpu_time"]), entry.get("time_unit", "ns")
 
 
+def parse_ratio(spec, names):
+    """'NUM/DEN<=X' -> (NUM, DEN, X). Benchmark names contain '/' themselves,
+    so NUM and DEN split at the one '/' that leaves a benchmark of `names` on
+    both sides. Raises ValueError for a malformed or unresolvable spec."""
+    lhs, sep, bound = spec.rpartition("<=")
+    if not sep:
+        raise ValueError(f"ratio {spec!r} lacks '<=X'")
+    limit = float(bound)
+    splits = [(lhs[:i], lhs[i + 1:]) for i, ch in enumerate(lhs)
+              if ch == "/" and lhs[:i] in names and lhs[i + 1:] in names]
+    if len(splits) != 1:
+        raise ValueError(f"ratio {spec!r} does not name two candidate benchmarks "
+                         f"({len(splits)} ways to split it)")
+    return splits[0][0], splits[0][1], limit
+
+
+def check_ratios(specs, entries):
+    """Evaluate every --ratio spec against one run. Returns failure lines."""
+    failures = []
+    for spec in specs:
+        try:
+            num, den, limit = parse_ratio(spec, entries)
+        except ValueError as err:
+            failures.append(str(err))
+            continue
+        num_time = float(entries[num]["real_time"])
+        den_time = float(entries[den]["real_time"])
+        if den_time <= 0:
+            failures.append(f"non-positive wall time for {den}")
+            continue
+        ratio = num_time / den_time
+        verdict = "ok" if ratio <= limit else "FAIL"
+        print(f"ratio {num} / {den} = {ratio:.2f} (limit {limit:.2f}) {verdict}")
+        if ratio > limit:
+            failures.append(f"{num} / {den} = {ratio:.2f} exceeds {limit:.2f}")
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True, help="checked-in BENCH_*.json")
@@ -78,6 +122,9 @@ def main(argv=None):
                         help="benchmark name (or prefix) that must be present in both "
                              "runs; missing coverage fails the gate even on a "
                              "mismatched host (repeatable)")
+    parser.add_argument("--ratio", action="append", default=[], metavar="NUM/DEN<=X",
+                        help="candidate-only wall-time ratio bound; fails on any host "
+                             "(repeatable)")
     args = parser.parse_args(argv)
 
     baseline = load(args.baseline)
@@ -119,6 +166,13 @@ def main(argv=None):
         for m in missing_required:
             print(f"missing required benchmark: {m}")
         print("FAIL: required benchmark coverage is absent")
+        return 1
+
+    ratio_failures = check_ratios(args.ratio, cand_entries)
+    if ratio_failures:
+        for f in ratio_failures:
+            print(f"ratio check: {f}")
+        print("FAIL: a host-independent ratio bound is broken")
         return 1
 
     regressions, improvements, warnings = [], [], []

@@ -22,15 +22,22 @@ CONTEXT = {"num_cpus": 4, "mhz_per_cpu": 2000, "host_name": "ci-host"}
 OTHER_CONTEXT = {"num_cpus": 8, "mhz_per_cpu": 3000, "host_name": "elsewhere"}
 
 
-def bench(name, cpu_time):
+def bench(name, cpu_time, real_time=None):
     return {"name": name, "run_type": "iteration", "cpu_time": cpu_time,
+            "real_time": cpu_time if real_time is None else real_time,
             "time_unit": "ns"}
 
 
-def median(run_name, cpu_time):
+def median(run_name, cpu_time, real_time=None):
     return {"name": run_name + "_median", "run_name": run_name,
             "run_type": "aggregate", "aggregate_name": "median",
-            "cpu_time": cpu_time, "time_unit": "ns"}
+            "cpu_time": cpu_time,
+            "real_time": cpu_time if real_time is None else real_time,
+            "time_unit": "ns"}
+
+
+PARALLEL = "BM_PipelineParallel/n:50/threads:4"
+SERIAL = "BM_PipelineSerial/n:50"
 
 
 class CheckRegressionTest(unittest.TestCase):
@@ -105,6 +112,39 @@ class CheckRegressionTest(unittest.TestCase):
         cand = self._write("c.json", [bench("BM_A", 100.0)],
                            context=OTHER_CONTEXT)
         self.assertEqual(self._run(base, cand, "--strict-context"), 1)
+
+    def _ratio_run(self, parallel_real, context=OTHER_CONTEXT, spec=None,
+                   parallel_cpu=100.0):
+        rows = [median(SERIAL, 100.0), median(PARALLEL, parallel_cpu, parallel_real)]
+        base = self._write("b.json", rows)
+        cand = self._write("c.json", rows, context=context)
+        return self._run(base, cand, "--ratio", spec or f"{PARALLEL}/{SERIAL}<=1.2")
+
+    def test_ratio_within_bound_passes(self):
+        self.assertEqual(self._ratio_run(115.0), 0)
+
+    def test_ratio_beyond_bound_fails_on_any_host(self):
+        # Baseline and candidate agree, and the hosts differ: only the
+        # candidate-internal ratio can fail this run, and it must.
+        self.assertEqual(self._ratio_run(177.0), 1)
+        self.assertEqual(self._ratio_run(177.0, context=CONTEXT), 1)
+
+    def test_ratio_uses_wall_time_not_calling_thread_cpu_time(self):
+        # A pooled run's CPU time is the caller's share only; the wall time
+        # is what the ratio bounds.
+        self.assertEqual(self._ratio_run(177.0, parallel_cpu=60.0), 1)
+
+    def test_ratio_naming_a_missing_benchmark_fails(self):
+        self.assertEqual(
+            self._ratio_run(100.0, spec=f"BM_Missing/n:50/{SERIAL}<=1.2"), 1)
+
+    def test_ratio_without_a_bound_fails(self):
+        self.assertEqual(self._ratio_run(100.0, spec=f"{PARALLEL}/{SERIAL}"), 1)
+
+    def test_parse_ratio_splits_slash_bearing_names(self):
+        names = {PARALLEL: {}, SERIAL: {}}
+        self.assertEqual(check_regression.parse_ratio(f"{PARALLEL}/{SERIAL}<=1.2", names),
+                         (PARALLEL, SERIAL, 1.2))
 
 
 if __name__ == "__main__":

@@ -160,7 +160,8 @@ int run_network_serve(const CliParser& args) {
             << " brownout shed(s), max brownout level " << stats.max_brownout_level << ", "
             << stats.shards_up << "/" << sup.shards << " shard(s) up\n";
 
-  // Server-side no-lost-acks audit over every admit the wire acknowledged.
+  // Server-side no-lost-acks audit over every admit the wire acknowledged and
+  // has not completed or cancelled since.
   const std::size_t lost_acks = front_end.audit_lost_acks();
   std::cout << "audit: " << front_end.acked_admits() << " acked admit(s), " << lost_acks
             << " lost\n";

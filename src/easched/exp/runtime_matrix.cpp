@@ -5,7 +5,7 @@
 #include "easched/common/contracts.hpp"
 #include "easched/common/math.hpp"
 #include "easched/common/rng.hpp"
-#include "easched/parallel/exec.hpp"
+#include "easched/parallel/parallel_for.hpp"
 #include "easched/sched/pipeline.hpp"
 
 namespace easched {
@@ -55,7 +55,9 @@ RuntimeMatrixResult run_runtime_matrix(std::string_view label, const RuntimeMatr
   const std::size_t cell_count = config.policies.size() * config.acet_ratios.size();
   std::vector<RunContribution> contributions(runs);
 
-  Exec::on(pool).loop(runs, [&](std::size_t run) {
+  // One iteration is a whole Monte-Carlo run: a coarse job that fans out at
+  // any run count, so this loop bypasses `Exec::loop`'s kernel grain.
+  parallel_for(0, runs, [&](std::size_t run) {
     Rng rng(Rng::seed_of(label, run));
     const TaskSet tasks = config.bursty ? generate_bursty_workload(config.bursts, rng)
                                         : generate_workload(config.workload, rng);
@@ -99,7 +101,7 @@ RuntimeMatrixResult run_runtime_matrix(std::string_view label, const RuntimeMatr
         out.missed[cell] = report.missed_deadlines() > 0 ? 1.0 : 0.0;
       }
     }
-  });
+  }, pool);
 
   RuntimeMatrixResult result;
   result.runs = runs;

@@ -3,6 +3,14 @@
 /// \file parallel_for.hpp
 /// \brief Chunked parallel loop on top of `ThreadPool`, safe to nest.
 ///
+/// `parallel_for` fans out at any iteration count of two or more. Call it
+/// directly for coarse, job-level loops, where one iteration is a whole
+/// Monte-Carlo run or shard of runs (`exp/sharding.hpp`,
+/// `exp/runtime_matrix.cpp`). Fine-grained kernel loops go through
+/// `Exec::loop` instead (exec.hpp), which runs short loops inline and only
+/// hands loops of at least `kMinParallelIterations` iterations to this
+/// function.
+///
 /// The caller *participates*: chunks live in a shared claim queue and the
 /// calling thread drains it alongside the pool workers. Two consequences:
 ///

@@ -1,13 +1,19 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// \brief Fixed-size worker pool used by the Monte-Carlo experiment harness.
+/// \brief Fixed-size worker pool shared by the scheduling kernel, the
+/// Monte-Carlo experiment harness and the admission service.
 ///
-/// The experiments in the paper average 100 independent simulation runs per
-/// parameter point; runs are embarrassingly parallel, so the harness fans
-/// them out over this pool. The pool is a plain FIFO of type-erased jobs —
-/// work items here are milliseconds-long scheduler invocations, so work
-/// stealing would add complexity without measurable benefit.
+/// Three kinds of work land here: coarse Monte-Carlo runs (the experiments
+/// average 100 independent simulations per parameter point), the long
+/// kernel loops of a large plan (`Exec::loop`, see exec.hpp), and the
+/// service's admission batch jobs. The pool is a plain FIFO of type-erased
+/// jobs — a job is tens of microseconds of work or more, so work stealing
+/// would add complexity without measurable benefit.
+///
+/// A default-sized pool gets one worker per CPU the process may run on (its
+/// affinity mask, so `taskset -c 3` yields one worker), not one per CPU of
+/// the host: workers beyond the mask would only time-slice the same CPUs.
 
 #include <condition_variable>
 #include <cstddef>
@@ -33,7 +39,7 @@ namespace easched {
 /// with the shared state. Workers keep serving subsequent jobs either way.
 class ThreadPool {
  public:
-  /// Spawn `threads` workers (defaults to hardware concurrency, at least 1).
+  /// Spawn `threads` workers (0 = `available_cpus()`).
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding work, then joins all workers.
@@ -78,8 +84,12 @@ class ThreadPool {
     return fut;
   }
 
-  /// The process-wide default pool (lazily constructed, sized to the host).
+  /// The process-wide default pool (lazily constructed, default-sized).
   static ThreadPool& global();
+
+  /// CPUs the calling thread may run on: the size of its affinity mask,
+  /// falling back to `std::thread::hardware_concurrency()` (at least 1).
+  static std::size_t available_cpus();
 
  private:
   void worker_loop();
