@@ -88,6 +88,11 @@ struct ServiceDecision {
   /// same request id (idempotent re-admission): `id` is the original task's
   /// id and nothing was re-committed or re-journaled.
   bool deduplicated = false;
+  /// For a dedup replay: the original task was still committed (neither
+  /// completed nor cancelled) when the replay was answered. Decided under
+  /// the service's state lock together with the replay itself, so a shard
+  /// crash after the answer cannot change it.
+  bool replay_live = false;
   /// Brownout ladder level of the deciding service at decision time
   /// (`brownout.hpp`); clients stretch their retry backoff as it rises.
   int brownout_level = 0;

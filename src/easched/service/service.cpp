@@ -367,6 +367,10 @@ void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
           decision.admission.admitted = true;
           decision.id = hit->second;
           decision.deduplicated = true;
+          const auto live =
+              std::lower_bound(committed_.begin(), committed_.end(), hit->second,
+                               [](const auto& entry, TaskId key) { return entry.first < key; });
+          decision.replay_live = live != committed_.end() && live->first == hit->second;
           metrics_.increment("request_dedup_hits_total");
           request_span.set_status("deduplicated");
           outcomes.emplace_back(std::move(request.promise), std::move(decision));

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "easched/common/rng.hpp"
@@ -26,10 +28,13 @@ struct RecordedOutcome {
   friend bool operator==(const RecordedOutcome&, const RecordedOutcome&) = default;
 };
 
-/// Run a fixed stream of instances through the chain under `exec`, with a
-/// fresh injector executing `spec` (fresh = per-site counters restart, so
-/// every run draws the identical verdict sequence).
-std::vector<RecordedOutcome> run_stream(const std::string& spec, const Exec& exec) {
+/// Run a fixed stream of `instances` workloads of `task_count` tasks through
+/// the chain under `exec`, with a fresh injector executing `spec` (fresh =
+/// per-site counters restart, so every run draws the identical verdict
+/// sequence).
+std::vector<RecordedOutcome> run_stream(const std::string& spec, const Exec& exec,
+                                        std::size_t task_count = 8,
+                                        std::uint64_t instances = 8) {
   FaultInjector injector(FaultPlan::parse(spec));
   faults::FaultScope scope(injector);
 
@@ -38,10 +43,10 @@ std::vector<RecordedOutcome> run_stream(const std::string& spec, const Exec& exe
   options.try_exact = true;
 
   std::vector<RecordedOutcome> outcomes;
-  for (std::uint64_t i = 0; i < 8; ++i) {
+  for (std::uint64_t i = 0; i < instances; ++i) {
     Rng rng(Rng::seed_of("fallback-determinism", i));
     WorkloadConfig config;
-    config.task_count = 8;
+    config.task_count = task_count;
     const TaskSet tasks = generate_workload(config, rng);
 
     const FallbackPlan plan = plan_with_fallback(tasks, 4, power, options, exec);
@@ -79,6 +84,24 @@ TEST(FallbackDeterminismTest, SeededFaultPlanIsBitIdenticalAcrossPoolSizes) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     const std::vector<RecordedOutcome> parallel = run_stream(spec, Exec::on(pool));
+    EXPECT_EQ(parallel, serial) << "pool size " << threads;
+  }
+}
+
+// The 8-task stream above stays below the kernel grain, where a pool runs
+// every loop inline. One 130-task instance (the exact rung's solver makes
+// larger streams slow) puts the rungs' task and subinterval loops past it.
+TEST(FallbackDeterminismTest, AboveGrainStreamIsBitIdenticalAcrossPoolSizes) {
+  const std::string spec = "seed=11;solver_stall:p=0.4;solver_nan:p=0.3";
+  constexpr std::size_t kTasks = 130;
+  constexpr std::uint64_t kInstances = 1;
+  const std::vector<RecordedOutcome> serial =
+      run_stream(spec, Exec::serial(), kTasks, kInstances);
+  for (const std::size_t threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    ASSERT_TRUE(Exec::on(pool).parallel(kTasks));
+    const std::vector<RecordedOutcome> parallel =
+        run_stream(spec, Exec::on(pool), kTasks, kInstances);
     EXPECT_EQ(parallel, serial) << "pool size " << threads;
   }
 }

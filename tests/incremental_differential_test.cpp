@@ -1,5 +1,6 @@
 // Differential test of incremental delta replanning: 25 seeded workloads,
-// random admit/remove sequences of 50+ ops, pools of 1, 2 and 8 threads.
+// random admit/remove sequences of 50+ ops, pools of 1, 2 and 8 threads,
+// plus 200-task sequences large enough that the pooled loops fan out.
 // After every op the delta planner's plan must be bit-identical to the
 // from-scratch DER pipeline — availability values and cached sums, energy
 // fold, segment list — and both schedules must pass the validator. A second
@@ -62,6 +63,28 @@ TEST(IncrementalDifferential, PooledSequencesMatchFromScratch) {
                                                     base_tasks_for(w), kOps, cores_for(w), exec);
       if (HasFatalFailure()) return;
       ASSERT_EQ(stats.steps, kOps + 1);
+      ASSERT_GE(stats.delta_steps * 10, (stats.steps - 1) * 9);
+    }
+  }
+}
+
+// A 200-task base set: the splice, repack and pipeline loops run past the
+// kernel grain, so the pools above really run the delta path in parallel
+// (the sizes above all stay below it, where a pool runs every loop inline).
+TEST(IncrementalDifferential, PooledSequencesAboveGrainMatchFromScratch) {
+  constexpr std::size_t kBaseTasks = 200;
+  constexpr std::size_t kAboveGrainOps = 12;
+  for (const std::size_t threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    const Exec exec = Exec::on(pool);
+    ASSERT_TRUE(exec.parallel(kBaseTasks));
+    for (std::size_t w = 0; w < 2; ++w) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " workload=" << w);
+      const ReplayStats stats =
+          replay_admit_remove("incremental-differential-above-grain", w, kBaseTasks,
+                              kAboveGrainOps, cores_for(w + 2), exec);
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(stats.steps, kAboveGrainOps + 1);
       ASSERT_GE(stats.delta_steps * 10, (stats.steps - 1) * 9);
     }
   }

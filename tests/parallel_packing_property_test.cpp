@@ -3,6 +3,9 @@
 // path. Invariants checked on every instance: the two paths emit the exact
 // same segments; no two segments collide on a core; no task runs on two
 // cores at once; and every pack item's time is conserved by its segments.
+// The small seeds stay below the kernel grain (`kMinParallelIterations`),
+// where a pool runs the serial packer inline; the above-grain seeds have
+// enough subintervals that the pooled arena packer really runs.
 
 #include <gtest/gtest.h>
 
@@ -87,19 +90,22 @@ void expect_work_conservation(const Schedule& schedule, const SubintervalDecompo
   }
 }
 
-class PackingPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PackingPropertyTest, SerialAndParallelPackingAgreeAndHoldInvariants) {
-  Rng rng(Rng::seed_of("parallel-packing", GetParam()));
+/// Pack random heavy items over a `task_count`-task workload serially and on
+/// a pool of 4; both must agree exactly and hold every invariant.
+/// `fans_out` states whether the pool takes the pooled arena packer.
+void check_packing(std::uint64_t seed, std::size_t task_count, bool fans_out) {
+  Rng rng(Rng::seed_of("parallel-packing", seed));
   WorkloadConfig config;
-  config.task_count = 6 + GetParam() % 20;
+  config.task_count = task_count;
   const TaskSet tasks = generate_workload(config, rng);
   const SubintervalDecomposition subs(tasks);
   const auto items = random_items(subs, rng);
 
   const Schedule serial = pack_subintervals(subs, kCores, items, Exec::serial());
   ThreadPool pool(4);
-  const Schedule parallel = pack_subintervals(subs, kCores, items, Exec::on(pool));
+  const Exec exec = Exec::on(pool);
+  ASSERT_EQ(exec.parallel(subs.size()), fans_out) << subs.size() << " subintervals";
+  const Schedule parallel = pack_subintervals(subs, kCores, items, exec);
 
   ASSERT_EQ(serial.segments(), parallel.segments());
   for (const Schedule* schedule : {&serial, &parallel}) {
@@ -109,16 +115,20 @@ TEST_P(PackingPropertyTest, SerialAndParallelPackingAgreeAndHoldInvariants) {
   }
 }
 
-TEST_P(PackingPropertyTest, FullPipelineValidatesThroughBothPaths) {
-  Rng rng(Rng::seed_of("parallel-packing-pipeline", GetParam()));
+/// Run the full pipeline serially and on a pool of 4: every schedule must
+/// validate and the two paths must emit the same final segments.
+void check_pipeline(std::uint64_t seed, std::size_t task_count, bool fans_out) {
+  Rng rng(Rng::seed_of("parallel-packing-pipeline", seed));
   WorkloadConfig config;
-  config.task_count = 6 + GetParam() % 20;
+  config.task_count = task_count;
   const TaskSet tasks = generate_workload(config, rng);
   const PowerModel power(3.0, 0.05);
 
   const PipelineResult serial = run_pipeline(tasks, kCores, power);
   ThreadPool pool(4);
-  const PipelineResult parallel = run_pipeline(tasks, kCores, power, Exec::on(pool));
+  const Exec exec = Exec::on(pool);
+  ASSERT_EQ(exec.parallel(SubintervalDecomposition(tasks).size()), fans_out);
+  const PipelineResult parallel = run_pipeline(tasks, kCores, power, exec);
 
   for (const PipelineResult* result : {&serial, &parallel}) {
     for (const MethodResult* m : {&result->even, &result->der}) {
@@ -132,8 +142,33 @@ TEST_P(PackingPropertyTest, FullPipelineValidatesThroughBothPaths) {
   ASSERT_EQ(serial.even.final_schedule.segments(), parallel.even.final_schedule.segments());
 }
 
+class PackingPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PackingPropertyTest, SerialAndParallelPackingAgreeAndHoldInvariants) {
+  check_packing(GetParam(), 6 + GetParam() % 20, /*fans_out=*/false);
+}
+
+TEST_P(PackingPropertyTest, FullPipelineValidatesThroughBothPaths) {
+  check_pipeline(GetParam(), 6 + GetParam() % 20, /*fans_out=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PackingPropertyTest,
                          ::testing::Range(std::uint64_t{0}, std::uint64_t{12}));
+
+// 90-120 tasks give ~180-240 subintervals: the pool packs through the
+// arena and scatters, so the invariants hold on the parallel code itself.
+class PackingPropertyAboveGrainTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PackingPropertyAboveGrainTest, SerialAndParallelPackingAgreeAndHoldInvariants) {
+  check_packing(100 + GetParam(), 90 + 10 * GetParam(), /*fans_out=*/true);
+}
+
+TEST_P(PackingPropertyAboveGrainTest, FullPipelineValidatesThroughBothPaths) {
+  check_pipeline(100 + GetParam(), 90 + 10 * GetParam(), /*fans_out=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PackingPropertyAboveGrainTest,
+                         ::testing::Range(std::uint64_t{0}, std::uint64_t{4}));
 
 }  // namespace
 }  // namespace easched

@@ -5,7 +5,7 @@
 // comparison is exact (==), never a tolerance: same availabilities, same
 // pieces, same energies, same schedules, on 25 seeded workloads, for both
 // allocation methods (I1/F1 even, I2/F2 DER), serially and on pools of 1, 2,
-// and 8 threads.
+// and 8 threads, plus two 200-task workloads on which the pools fan out.
 
 #include <gtest/gtest.h>
 
@@ -31,14 +31,18 @@ namespace {
 
 constexpr std::size_t kWorkloads = 25;
 
-TaskSet workload(std::size_t index) {
+TaskSet workload(std::size_t index, std::size_t task_count) {
   Rng rng(Rng::seed_of("sparse-kernel-equivalence", index));
   WorkloadConfig config;
+  config.task_count = task_count;
+  return generate_workload(config, rng);
+}
+
+TaskSet workload(std::size_t index) {
   // Cycle sizes so both sparse (few overlaps) and dense (many) regimes and
   // several chunking granularities are exercised.
   const std::size_t sizes[] = {5, 12, 20, 33, 40};
-  config.task_count = sizes[index % 5];
-  return generate_workload(config, rng);
+  return workload(index, sizes[index % 5]);
 }
 
 int cores_for(std::size_t index) {
@@ -327,9 +331,8 @@ TEST_P(SparseKernelEquivalenceTest, PipelineMatchesDenseReference) {
   }
 }
 
-TEST_P(SparseKernelEquivalenceTest, PooledPipelineMatchesDenseReference) {
-  const TaskSet tasks = workload(GetParam());
-  const int cores = cores_for(GetParam());
+/// The pipeline on pools of 1, 2 and 8 threads against the dense reference.
+void expect_pooled_pipeline_matches_dense(const TaskSet& tasks, int cores) {
   const PowerModel power(3.0, 0.1);
   const IdealCase ideal(tasks, power);
   const DenseDecomposition dense = dense_decompose(tasks);
@@ -347,8 +350,24 @@ TEST_P(SparseKernelEquivalenceTest, PooledPipelineMatchesDenseReference) {
   }
 }
 
+TEST_P(SparseKernelEquivalenceTest, PooledPipelineMatchesDenseReference) {
+  expect_pooled_pipeline_matches_dense(workload(GetParam()), cores_for(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Workloads, SparseKernelEquivalenceTest,
                          ::testing::Range(std::size_t{0}, kWorkloads));
+
+// The workloads above all stay below the kernel grain, where a pool runs
+// every loop inline. 200 tasks put the task and subinterval loops past it.
+TEST(SparseKernelEquivalenceAboveGrainTest, PooledPipelineMatchesDenseReference) {
+  for (const std::size_t index : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE(index);
+    const TaskSet tasks = workload(100 + index, 200);
+    ThreadPool pool(2);
+    ASSERT_TRUE(Exec::on(pool).parallel(SubintervalDecomposition(tasks).size()));
+    expect_pooled_pipeline_matches_dense(tasks, cores_for(index + 2));
+  }
+}
 
 }  // namespace
 }  // namespace easched
