@@ -99,7 +99,6 @@ BENCHMARK(BM_PlanFallbackAfterTimeout)->Arg(12)->Arg(24)->Unit(benchmark::kMicro
 ServiceOptions admission_options() {
   ServiceOptions options;
   options.cores = 2;
-  options.manual_dispatch = true;
   return options;
 }
 

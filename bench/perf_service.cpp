@@ -47,7 +47,6 @@ ServiceOptions service_options(std::size_t max_batch) {
   options.cores = kCores;
   options.f_max = kFMax;
   options.max_batch = max_batch;
-  options.manual_dispatch = true;  // measure admission compute, not timers
   return options;
 }
 

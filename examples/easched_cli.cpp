@@ -27,12 +27,13 @@
 //
 // The `serve` subcommand runs the long-lived SchedulerService against a
 // synthetic arrival stream: concurrent client threads submit admission
-// requests (retrying overload/dropped decisions with jittered backoff), the
-// service batches them, and the run ends with a metrics dump, an
+// requests (retrying overload/dropped decisions with jittered backoff) and
+// pump the service themselves, so requests queued while one client plans are
+// decided together as the next batch. The run ends with a metrics dump, an
 // executed-plan check, and (optionally) a snapshot for later resumption.
 // With --journal, admits are write-ahead logged; if an injected kill crashes
-// the dispatcher mid-stream, serve restarts the service over the journal and
-// reports what recovery restored.
+// the service mid-stream, serve restarts it over the journal and reports
+// what recovery restored.
 
 #include <atomic>
 #include <chrono>
@@ -59,6 +60,71 @@ volatile std::sig_atomic_t g_stop_signal = 0;
 
 void handle_stop_signal(int) { g_stop_signal = 1; }
 
+/// The planning options every serve path shares. Throws on an unknown
+/// --planner, so a typo fails the command on every path.
+ServiceOptions serve_service_options(const CliParser& args) {
+  const std::string planner = args.get("planner");
+  if (planner != "f2" && planner != "exact") {
+    throw std::runtime_error("unknown --planner (use: f2, exact)");
+  }
+  const double fmax_arg = args.get_double("fmax");
+  ServiceOptions options;
+  options.cores = args.get_int("cores");
+  options.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
+  options.exact_first = planner == "exact";
+  options.incremental = !args.get_switch("no-incremental");
+  options.warm_start_exact = args.get_switch("warm-start");
+  options.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
+  options.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
+  return options;
+}
+
+/// Fleet options of `serve --shards` / `serve --listen`; creates --data-dir.
+SupervisorOptions serve_supervisor_options(const CliParser& args) {
+  SupervisorOptions sup;
+  sup.service = serve_service_options(args);
+  sup.shards = static_cast<std::size_t>(std::max(1, args.get_int("shards")));
+  sup.data_dir = args.get("data-dir");
+  if (sup.data_dir.empty()) {
+    throw std::runtime_error(
+        "serve --shards / --listen needs --data-dir for the per-shard journals");
+  }
+  std::filesystem::create_directories(sup.data_dir);
+  sup.brownout_enabled = args.get_switch("brownout");
+  sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
+  return sup;
+}
+
+/// The synthetic arrival stream (paper Section VI generator), replayed
+/// through the discrete-event engine to fix it into arrival order.
+std::vector<Task> serve_arrivals(const CliParser& args) {
+  Rng rng(Rng::seed_of("easched-serve", static_cast<std::uint64_t>(args.get_int("seed"))));
+  WorkloadConfig config;
+  config.task_count = static_cast<std::size_t>(args.get_int("requests"));
+  config.release_hi = args.get_double("horizon");
+  const TaskSet stream = generate_workload(config, rng);
+  std::vector<Task> ordered;
+  ordered.reserve(stream.size());
+  SimulationEngine arrivals;
+  for (const Task& t : stream) {
+    arrivals.schedule_at(t.release, [&ordered, t](SimulationEngine&) { ordered.push_back(t); });
+  }
+  arrivals.run();
+  return ordered;
+}
+
+/// Recovery sweep: bring every shard back up (a kill with a long
+/// restart_after may have left one down) so the audit reads live state.
+void recover_all_shards(Supervisor& supervisor) {
+  for (int round = 0; round < 8; ++round) {
+    bool all_up = true;
+    for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
+      if (!supervisor.shard(k).up() && !supervisor.shard(k).restart_now()) all_up = false;
+    }
+    if (all_up) break;
+  }
+}
+
 /// `serve --listen <port>`: expose the supervised fleet over TCP instead of
 /// driving it with a synthetic in-process stream. Runs until a client sends
 /// the protocol's shutdown op or the process receives SIGINT/SIGTERM, then
@@ -66,7 +132,6 @@ void handle_stop_signal(int) { g_stop_signal = 1; }
 /// Exit codes: 0 clean, 3 when the audit finds a lost ack.
 int run_network_serve(const CliParser& args) {
   const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  const double fmax_arg = args.get_double("fmax");
 
   const std::string trace_path = args.get("trace");
   std::optional<obs::Tracer> tracer;
@@ -76,22 +141,7 @@ int run_network_serve(const CliParser& args) {
     trace_scope.emplace(*tracer);
   }
 
-  SupervisorOptions sup;
-  sup.shards = static_cast<std::size_t>(std::max(1, args.get_int("shards")));
-  sup.data_dir = args.get("data-dir");
-  if (sup.data_dir.empty()) {
-    std::cerr << "serve --listen needs --data-dir for the per-shard journals\n";
-    return 1;
-  }
-  std::filesystem::create_directories(sup.data_dir);
-  sup.service.cores = args.get_int("cores");
-  sup.service.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
-  sup.service.exact_first = args.get("planner") == "exact";
-  sup.service.incremental = !args.get_switch("no-incremental");
-  sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  sup.service.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
-  sup.brownout_enabled = args.get_switch("brownout");
-  sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
+  const SupervisorOptions sup = serve_supervisor_options(args);
   Supervisor supervisor(power, sup);
 
   net::FrontEndOptions fe;
@@ -126,15 +176,7 @@ int run_network_serve(const CliParser& args) {
   // connections are torn down.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   front_end.stop();
-
-  // Recovery sweep: every shard up before the audit reads live state.
-  for (int round = 0; round < 8; ++round) {
-    bool all_up = true;
-    for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
-      if (!supervisor.shard(k).up() && !supervisor.shard(k).restart_now()) all_up = false;
-    }
-    if (all_up) break;
-  }
+  recover_all_shards(supervisor);
 
   const net::FrontEndStats net_stats = front_end.stats();
   std::cout << "front-end: " << net_stats.connections_accepted << " connection(s), "
@@ -179,61 +221,26 @@ int run_network_serve(const CliParser& args) {
 }
 
 int run_supervised_serve(const CliParser& args) {
-  const int cores = args.get_int("cores");
   const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  const double fmax_arg = args.get_double("fmax");
 
-  const std::string metrics_format = args.get("metrics-format");
-  if (metrics_format != "text" && metrics_format != "prometheus") {
-    std::cerr << "unknown --metrics-format (use: text, prometheus)\n";
-    return 1;
-  }
-
-  SupervisorOptions sup;
-  sup.shards = static_cast<std::size_t>(args.get_int("shards"));
-  sup.data_dir = args.get("data-dir");
-  if (sup.data_dir.empty()) {
-    std::cerr << "serve --shards needs --data-dir for the per-shard journals\n";
-    return 1;
-  }
-  std::filesystem::create_directories(sup.data_dir);
-  sup.service.cores = cores;
-  sup.service.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
-  sup.service.exact_first = args.get("planner") == "exact";
-  sup.service.incremental = !args.get_switch("no-incremental");
-  sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  sup.service.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
+  SupervisorOptions sup = serve_supervisor_options(args);
   // A forced ladder walk and the pressure-driven ladder would fight (the
   // ladder releases a forced level as soon as pressure looks calm), so the
   // walk runs with observation off.
   const bool walk = args.get_switch("brownout-walk");
-  sup.brownout_enabled = args.get_switch("brownout") && !walk;
-  sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
+  if (walk) sup.brownout_enabled = false;
   Supervisor supervisor(power, sup);
 
-  // Synthetic arrival stream, fixed into arrival order (same generator and
-  // replay as the unsupervised path).
   const auto requests = static_cast<std::size_t>(args.get_int("requests"));
   const auto tenants = static_cast<std::size_t>(std::max(1, args.get_int("clients")));
-  Rng rng(Rng::seed_of("easched-serve", static_cast<std::uint64_t>(args.get_int("seed"))));
-  WorkloadConfig config;
-  config.task_count = requests;
-  config.release_hi = args.get_double("horizon");
-  const TaskSet stream = generate_workload(config, rng);
-  std::vector<Task> ordered;
-  ordered.reserve(stream.size());
-  SimulationEngine arrivals;
-  for (const Task& t : stream) {
-    arrivals.schedule_at(t.release, [&ordered, t](SimulationEngine&) { ordered.push_back(t); });
-  }
-  arrivals.run();
+  const std::vector<Task> ordered = serve_arrivals(args);
 
   // Brownout pressure: arrival-burst depth, the number of releases inside
   // the trailing 5% of the horizon at each task's own release. Bursty
   // streams push the ladder up; sparse ones leave it at level 0. Computed
   // from the stream itself so the run is deterministic.
   std::vector<std::size_t> pressure(ordered.size(), 0);
-  const double burst_window = std::max(1e-9, config.release_hi * 0.05);
+  const double burst_window = std::max(1e-9, args.get_double("horizon") * 0.05);
   for (std::size_t i = 0, j = 0; i < ordered.size(); ++i) {
     while (ordered[j].release < ordered[i].release - burst_window) ++j;
     pressure[i] = i - j + 1;
@@ -297,16 +304,7 @@ int run_supervised_serve(const CliParser& args) {
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  // Final recovery sweep: bring every shard back up (a kill with a long
-  // restart_after may have left one down) so the audit reads live state.
-  for (int round = 0; round < 8; ++round) {
-    bool all_up = true;
-    for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
-      if (!supervisor.shard(k).up() && !supervisor.shard(k).restart_now()) all_up = false;
-    }
-    if (all_up) break;
-  }
+  recover_all_shards(supervisor);
 
   std::cout << "served " << requests << " request(s) across " << sup.shards << " shard(s) ("
             << tenants << " tenant(s)) in " << format_fixed(wall_s, 3) << " s: " << admitted
@@ -337,7 +335,7 @@ int run_supervised_serve(const CliParser& args) {
   }
   std::cout << "audit: " << acked.size() << " acked admit(s), " << lost_acks << " lost\n";
 
-  if (metrics_format == "prometheus") {
+  if (args.get("metrics-format") == "prometheus") {
     std::cout << "\n" << supervisor.prometheus();
   } else {
     MetricsRegistry dump_registry;
@@ -349,21 +347,12 @@ int run_supervised_serve(const CliParser& args) {
   return lost_acks == 0 ? 0 : 3;
 }
 
-int run_serve(const CliParser& args) {
-  if (args.get_int("listen") >= 0) return run_network_serve(args);
-  if (args.get_int("shards") > 0) return run_supervised_serve(args);
+int run_single_serve(const CliParser& args) {
   const int cores = args.get_int("cores");
   const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  const double fmax_arg = args.get_double("fmax");
-
-  const std::string metrics_format = args.get("metrics-format");
-  if (metrics_format != "text" && metrics_format != "prometheus") {
-    std::cerr << "unknown --metrics-format (use: text, prometheus)\n";
-    return 1;
-  }
 
   // Tracing spans the whole serve run. Declared before the service so the
-  // scope outlives every span the service's threads record.
+  // scope outlives every span the client threads record.
   const std::string trace_path = args.get("trace");
   std::optional<obs::Tracer> tracer;
   std::optional<obs::TraceScope> trace_scope;
@@ -372,20 +361,7 @@ int run_serve(const CliParser& args) {
     trace_scope.emplace(*tracer);
   }
 
-  ServiceOptions options;
-  options.cores = cores;
-  options.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
-  options.batch_window = std::chrono::microseconds(args.get_int("window-us"));
-  const std::string planner = args.get("planner");
-  if (planner != "f2" && planner != "exact") {
-    std::cerr << "unknown --planner (use: f2, exact)\n";
-    return 1;
-  }
-  options.exact_first = planner == "exact";
-  options.incremental = !args.get_switch("no-incremental");
-  options.warm_start_exact = args.get_switch("warm-start");
-  options.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  options.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
+  ServiceOptions options = serve_service_options(args);
   options.journal_path = args.get("journal");
 
   std::unique_ptr<SchedulerService> service;
@@ -402,30 +378,15 @@ int run_serve(const CliParser& args) {
     }
   }
 
-  // Synthetic arrival stream (paper Section VI generator).
+  // Deal the arrival stream round-robin to the client threads.
   const auto requests = static_cast<std::size_t>(args.get_int("requests"));
   const auto clients = static_cast<std::size_t>(std::max(1, args.get_int("clients")));
-  Rng rng(Rng::seed_of("easched-serve", static_cast<std::uint64_t>(args.get_int("seed"))));
-  WorkloadConfig config;
-  config.task_count = requests;
-  config.release_hi = args.get_double("horizon");
-  const TaskSet stream = generate_workload(config, rng);
-
-  // Replay the releases through the discrete-event engine to fix the
-  // arrival order, dealing tasks round-robin to the client threads.
+  const std::vector<Task> ordered = serve_arrivals(args);
   std::vector<std::vector<Task>> per_client(clients);
-  SimulationEngine arrivals;
-  std::size_t dealt = 0;
-  for (const Task& t : stream) {
-    arrivals.schedule_at(t.release, [&per_client, &dealt, t, clients](SimulationEngine&) {
-      per_client[dealt++ % clients].push_back(t);
-    });
-  }
-  arrivals.run();
+  for (std::size_t i = 0; i < ordered.size(); ++i) per_client[i % clients].push_back(ordered[i]);
 
   const int retries = std::max(0, args.get_int("retries"));
   const auto backoff_base = std::chrono::microseconds(std::max(1, args.get_int("retry-backoff-us")));
-  const auto client_timeout = std::chrono::milliseconds(std::max(1, args.get_int("client-timeout-ms")));
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::atomic<std::size_t> admitted{0};
@@ -438,9 +399,10 @@ int run_serve(const CliParser& args) {
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
-        // Overload and injected-drop decisions are retried with jittered
-        // exponential backoff — the client-side half of the overload
-        // contract. A request whose future never resolves (the service
+        // Each client queues its pending requests and pumps until they are
+        // all decided. Overload and injected-drop decisions are retried with
+        // jittered exponential backoff — the client-side half of the
+        // overload contract. A request whose promise broke (the service
         // crashed mid-decision) is counted lost, and the client stops
         // resubmitting into a dead server.
         Rng backoff_rng(Rng::seed_of("easched-serve-backoff", c,
@@ -456,23 +418,23 @@ int run_serve(const CliParser& args) {
           }
           std::vector<std::future<ServiceDecision>> futures;
           futures.reserve(pending.size());
-          for (const Task& t : pending) futures.push_back(service->submit(t));
-          const auto deadline = std::chrono::steady_clock::now() + client_timeout;
+          try {
+            for (const Task& t : pending) futures.push_back(service->submit(t));
+            service->pump();
+          } catch (const std::runtime_error&) {
+            // This client's pump hit an injected crash, or another client's
+            // did and the closed queue refused a submit.
+            server_gone = true;
+          }
           std::vector<Task> next;
           for (std::size_t i = 0; i < futures.size(); ++i) {
-            if (futures[i].wait_until(deadline) != std::future_status::ready) {
-              lost.fetch_add(1);
-              server_gone = true;
-              continue;
-            }
             ServiceDecision decision;
             try {
               decision = futures[i].get();
             } catch (const std::future_error&) {
-              // Broken promise: the batch died mid-decision (injected
-              // crash). The decision was never acknowledged.
+              // Broken promise: the service died before deciding it. The
+              // decision was never acknowledged.
               lost.fetch_add(1);
-              server_gone = true;
               continue;
             }
             if (decision.error_kind == AdmissionErrorKind::kOverload ||
@@ -484,6 +446,9 @@ int run_serve(const CliParser& args) {
               rejected.fetch_add(1);
             }
           }
+          // Requests a dead service refused stay pending (and are given up).
+          next.insert(next.end(), pending.begin() + static_cast<std::ptrdiff_t>(futures.size()),
+                      pending.end());
           pending = std::move(next);
         }
         gave_up.fetch_add(pending.size());
@@ -491,8 +456,12 @@ int run_serve(const CliParser& args) {
     }
     for (auto& th : threads) th.join();
   }
+  try {
+    service->pump();  // injected duplicates nobody waited on
+  } catch (const InjectedCrash&) {
+    // Recorded in injected_crashes_total and recovered from below.
+  }
   const bool crashed = service->metrics().counter("injected_crashes_total") > 0;
-  if (!crashed) service->drain();
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
@@ -504,7 +473,7 @@ int run_serve(const CliParser& args) {
             << " gave up, " << lost.load() << " lost\n";
 
   if (crashed) {
-    std::cout << "dispatcher crashed (injected kill)";
+    std::cout << "service crashed (injected kill)";
     if (!options.journal_path.empty()) {
       // Restart over the same journal: construction replays the WAL, so
       // every acknowledged admit survives the crash.
@@ -532,7 +501,7 @@ int run_serve(const CliParser& args) {
               << " over " << online.replans << " re-plans\n";
   }
 
-  if (metrics_format == "prometheus") {
+  if (args.get("metrics-format") == "prometheus") {
     std::cout << "\n" << obs::to_prometheus(service->metrics().snapshot());
   } else {
     std::cout << "\n" << service->metrics().dump();
@@ -544,13 +513,24 @@ int run_serve(const CliParser& args) {
   }
 
   if (tracer) {
-    // Quiesce (dispatcher joined, batches finished) before reading rings.
+    // Quiesce (everything queued decided) before reading rings.
     service->shutdown();
     write_file(trace_path, tracer->chrome_trace_json());
     std::cout << "trace written to " << trace_path << " (" << tracer->records().size()
               << " span(s), " << tracer->dropped() << " dropped)\n";
   }
   return 0;
+}
+
+int run_serve(const CliParser& args) {
+  // --planner is checked where every path builds its options.
+  const std::string metrics_format = args.get("metrics-format");
+  if (metrics_format != "text" && metrics_format != "prometheus") {
+    throw std::runtime_error("unknown --metrics-format (use: text, prometheus)");
+  }
+  if (args.get_int("listen") >= 0) return run_network_serve(args);
+  if (args.get_int("shards") > 0) return run_supervised_serve(args);
+  return run_single_serve(args);
 }
 
 int run_online(const CliParser& args) {
@@ -872,7 +852,6 @@ int main(int argc, char** argv) {
   args.add_option("clients", "4", "serve: concurrent client threads (supervised: tenant count)");
   args.add_option("requests", "200", "serve: synthetic admission requests to submit");
   args.add_option("fmax", "0", "serve: admission frequency ceiling (0 = unbounded)");
-  args.add_option("window-us", "500", "serve: batch collection window in microseconds");
   args.add_option("horizon", "200", "serve: release window of the synthetic stream");
   args.add_option("snapshot-out", "", "serve: write a service snapshot here on exit");
   args.add_option("resume", "", "serve: restore service state from this snapshot first");
@@ -917,8 +896,6 @@ int main(int argc, char** argv) {
   args.add_option("trace", "", "serve: write a Chrome trace_event JSON of the run here");
   args.add_option("metrics-format", "text",
                   "serve: metrics exposition at exit: text | prometheus");
-  args.add_option("client-timeout-ms", "2000",
-                  "serve: client wait before declaring a request lost");
 
   if (!args.parse(argc, argv)) {
     std::cerr << args.error() << "\n\n" << args.help();

@@ -1,15 +1,17 @@
 #pragma once
 
 /// \file request_queue.hpp
-/// \brief Multi-producer request queue with time-windowed batch pop,
-///        bounded depth, and laxity-aware load shedding.
+/// \brief Multi-producer request queue with bounded depth and
+///        laxity-aware load shedding.
 ///
-/// Client threads push admission requests; the service's dispatcher pops
-/// them in *batches*: once at least one request is waiting, the dispatcher
-/// keeps collecting until either the batch window elapses or the batch size
-/// cap is reached. Batching amortizes the expensive re-plan — one energy
-/// baseline per batch instead of one per request — which is what lets the
-/// service beat per-request admission on throughput.
+/// Client threads push admission requests; whichever caller holds the
+/// service's pump lock pops them in *batches* of everything queued (up to
+/// the batch cap) without waiting for more to arrive. Requests that arrive
+/// while a batch is being planned simply wait for the next pop, so batches
+/// grow with load on their own (group commit). Batching amortizes the
+/// expensive re-plan — one energy baseline per batch instead of one per
+/// request — which is what lets the service beat per-request admission on
+/// throughput.
 ///
 /// Ordering contract: sequence numbers are assigned under the queue lock at
 /// push time, so the order requests are dequeued (and therefore admitted)
@@ -34,7 +36,6 @@
 /// own sequence — simulating a client retry after a lost acknowledgement).
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -98,8 +99,8 @@ struct ServiceDecision {
   int brownout_level = 0;
 };
 
-/// One queued submission: the candidate plus the promise the dispatcher
-/// fulfills after admission.
+/// One queued submission: the candidate plus the promise the pumping
+/// caller fulfills after admission.
 struct PendingRequest {
   std::uint64_t sequence = 0;
   Task task;
@@ -108,13 +109,13 @@ struct PendingRequest {
   /// its original task id across a crash/restart.
   std::string rid;
   std::promise<ServiceDecision> promise;
-  /// Push time, stamped under the queue lock; the dispatcher turns it into
-  /// the request's queue-wait span and latency observation.
+  /// Push time, stamped under the queue lock; the pumping caller turns it
+  /// into the request's queue-wait span and latency observation.
   std::chrono::steady_clock::time_point enqueued_at{};
 };
 
-/// FIFO queue of `PendingRequest` with windowed batch extraction, an
-/// optional depth bound, and deterministic fault hooks.
+/// FIFO queue of `PendingRequest` with batch extraction, an optional depth
+/// bound, and deterministic fault hooks.
 class RequestQueue {
  public:
   /// `capacity == 0` leaves the queue unbounded (the pre-overload-handling
@@ -128,34 +129,20 @@ class RequestQueue {
   /// `close()`.
   std::future<ServiceDecision> push(const Task& task, std::string rid = {});
 
-  /// Block until at least one request is queued (or the queue is closed),
-  /// then keep collecting until `window` elapses — measured from the first
-  /// observed request — or `max_batch` requests are available. Returns the
-  /// batch in arrival order; empty only when closed and drained.
-  std::vector<PendingRequest> pop_batch(std::chrono::microseconds window,
-                                        std::size_t max_batch);
-
-  /// Collect everything currently queued (up to `max_batch`) without
-  /// blocking. Used by manually pumped services and tests.
+  /// Collect everything currently queued (up to `max_batch`) in arrival
+  /// order, without blocking.
   std::vector<PendingRequest> pop_all(std::size_t max_batch);
 
-  /// Stop accepting pushes; pop_batch still drains queued requests.
+  /// Stop accepting pushes; `pop_all` still returns queued requests.
   void close();
 
   bool closed() const;
   std::size_t depth() const;
   std::size_t capacity() const { return capacity_; }
-  /// Total requests ever pushed (== next sequence number; includes
-  /// duplicates injected by the `request_dup` fault).
-  std::uint64_t pushed() const;
 
   /// \name Overload / fault statistics
   /// @{
 
-  /// Requests answered at the queue without reaching a batch (sheds,
-  /// overload rejects, injected drops). `pushed() - rejected_early()` is
-  /// the number of requests a dispatcher batch will eventually decide.
-  std::uint64_t rejected_early() const;
   /// Queued victims rejected to make room for a laxer arrival.
   std::uint64_t shed() const;
   /// Incoming requests rejected because the queue was full.
@@ -167,11 +154,8 @@ class RequestQueue {
   /// @}
 
  private:
-  std::vector<PendingRequest> take_locked(std::size_t max_batch);
-
   std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<PendingRequest> items_;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t shed_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 
 #include "easched/common/contracts.hpp"
@@ -10,7 +11,6 @@
 #include "easched/service/brownout.hpp"
 #include "easched/obs/trace.hpp"
 #include "easched/parallel/exec.hpp"
-#include "easched/parallel/thread_pool.hpp"
 #include "easched/sched/feasibility.hpp"
 
 namespace easched {
@@ -81,9 +81,6 @@ SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions optio
     }
     journal_.emplace(options_.journal_path);
   }
-  if (!options_.manual_dispatch) {
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  }
 }
 
 SchedulerService::SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
@@ -119,7 +116,14 @@ SchedulerService::SchedulerService(const ServiceSnapshot& snapshot, const PowerM
   refresh_gauges_locked();
 }
 
-SchedulerService::~SchedulerService() { shutdown(); }
+SchedulerService::~SchedulerService() {
+  try {
+    shutdown();
+  } catch (const InjectedCrash&) {
+    // The crash is already recorded and the service is dead; a destructor
+    // has nowhere to propagate it to.
+  }
+}
 
 std::future<ServiceDecision> SchedulerService::submit(const Task& task, std::string rid) {
   auto fut = queue_.push(task, std::move(rid));
@@ -129,7 +133,14 @@ std::future<ServiceDecision> SchedulerService::submit(const Task& task, std::str
 
 ServiceDecision SchedulerService::submit_wait(const Task& task, std::string rid) {
   auto fut = submit(task, std::move(rid));
-  if (options_.manual_dispatch) pump();
+  // Whoever holds the pump lock decides every request popped in its round
+  // before releasing it, so once this caller holds the lock its request is
+  // either answered already or still queued.
+  while (fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    std::lock_guard pump_lock(pump_mutex_);
+    if (crashed_) break;  // the crash broke the promise; get() throws
+    pump_round_locked();
+  }
   return fut.get();
 }
 
@@ -234,84 +245,40 @@ ServiceSnapshot SchedulerService::snapshot() {
 }
 
 std::size_t SchedulerService::pump() {
-  EASCHED_EXPECTS_MSG(options_.manual_dispatch,
-                      "pump() requires ServiceOptions::manual_dispatch");
+  std::lock_guard pump_lock(pump_mutex_);
   std::size_t processed = 0;
-  for (;;) {
-    auto batch = queue_.pop_all(options_.max_batch);
-    if (batch.empty()) break;
-    processed += batch.size();
-    process_batch(std::move(batch));
+  while (!crashed_) {
+    const std::size_t popped = pump_round_locked();
+    if (popped == 0) break;
+    processed += popped;
   }
   return processed;
-}
-
-void SchedulerService::drain() {
-  if (options_.manual_dispatch) {
-    pump();
-    return;
-  }
-  const std::uint64_t target = queue_.pushed();
-  std::unique_lock lock(state_mutex_);
-  // Requests decided at the queue (sheds, overload rejects, injected
-  // drops) never reach a batch, so they count against the drain target via
-  // `rejected_early()`. Both terms are monotone.
-  drain_cv_.wait(lock, [this, target] {
-    return decided_requests_ + queue_.rejected_early() >= target;
-  });
 }
 
 void SchedulerService::shutdown() {
   if (shutdown_.exchange(true)) return;
   queue_.close();
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
-  } else {
-    // Manual mode: decide whatever is still queued.
-    for (;;) {
-      auto batch = queue_.pop_all(options_.max_batch);
-      if (batch.empty()) break;
-      process_batch(std::move(batch));
-    }
-  }
+  pump();
 }
 
-void SchedulerService::dispatcher_loop() {
-  for (;;) {
-    auto batch = queue_.pop_batch(options_.batch_window, options_.max_batch);
-    if (batch.empty()) return;  // closed and drained
-    try {
-      process_batch(std::move(batch));
-    } catch (const InjectedCrash&) {
-      // Simulated process death: the dispatcher stops cold, in-flight
-      // promises stay broken, and only journaled state survives — exactly
-      // what a real crash leaves behind. Recovery is a new service over
-      // the same journal.
-      metrics_.increment("injected_crashes_total");
-      return;
-    }
-  }
-}
-
-void SchedulerService::process_batch(std::vector<PendingRequest> batch) {
-  if (!options_.manual_dispatch && options_.use_thread_pool) {
-    // One pool job per batch: planning compute shares the machine-wide
-    // worker budget with everything else built on the pool. The batch
-    // stays reachable through `shared` so an injected job failure (which
-    // fires *before* the job body runs) can be retried inline instead of
-    // breaking every promise in the batch.
-    auto shared = std::make_shared<std::vector<PendingRequest>>(std::move(batch));
-    ThreadPool& pool = options_.pool != nullptr ? *options_.pool : ThreadPool::global();
-    auto fut = pool.submit([this, shared]() mutable { run_batch(std::move(*shared)); });
-    try {
-      fut.get();
-    } catch (const InjectedFault&) {
-      metrics_.increment("batch_job_faults_total");
-      run_batch(std::move(*shared));
-    }
-  } else {
+std::size_t SchedulerService::pump_round_locked() {
+  std::vector<PendingRequest> batch = queue_.pop_all(options_.max_batch);
+  const std::size_t popped = batch.size();
+  if (popped == 0) return 0;
+  try {
     run_batch(std::move(batch));
+  } catch (const InjectedCrash&) {
+    // Simulated process death: the round's promises broke during unwind,
+    // the queued ones break here, and only journaled state survives —
+    // exactly what a real crash leaves behind. Recovery is a new service
+    // over the same journal.
+    crashed_ = true;
+    metrics_.increment("injected_crashes_total");
+    queue_.close();
+    queue_.pop_all(std::numeric_limits<std::size_t>::max());
+    throw;
   }
+  return popped;
 }
 
 void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
@@ -428,7 +395,6 @@ void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
       }
       outcomes.emplace_back(std::move(request.promise), std::move(decision));
     }
-    decided_requests_ += outcomes.size();
     metrics_.observe("replan_latency_us", elapsed_us(started));
     refresh_gauges_locked();
   }
@@ -439,7 +405,6 @@ void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
     obs::Span reply_span("service.reply");
     promise.set_value(std::move(decision));
   }
-  drain_cv_.notify_all();
 }
 
 FallbackOptions SchedulerService::fallback_options() const {

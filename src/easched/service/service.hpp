@@ -13,14 +13,17 @@
 ///
 /// Three mechanisms make it serve sustained traffic cheaply:
 ///
-///  1. **Batched admission.** Requests arriving within a configurable
-///     window are admitted as one batch: the energy baseline of the
-///     committed set is computed once per batch (usually a cache hit) and
-///     chained through the batch's accepted candidates, instead of being
-///     re-derived per request the way standalone `admit_task` must. The
-///     batch is processed in arrival order, so the accept/reject outcome is
-///     byte-identical to applying the same requests sequentially —
-///     batching buys throughput, never different answers.
+///  1. **Caller-driven group commit.** The service owns no thread. A caller
+///     waiting on a decision (`submit_wait`, `pump`) takes the pump lock,
+///     pops everything queued (at most `max_batch` per round) and decides it
+///     in sequence order; requests that arrive while another caller is
+///     planning wait on the lock and join the next round. Each round is one
+///     batch: the energy baseline of the committed set is computed once
+///     (usually a cache hit) and chained through the batch's accepted
+///     candidates, instead of being re-derived per request the way
+///     standalone `admit_task` must. The outcome is byte-identical to
+///     applying the same requests sequentially — batching buys throughput,
+///     never different answers.
 ///
 ///  2. **Plan caching.** F2 plans are memoized by a quantized signature of
 ///     the committed set (see `plan_cache.hpp`). Quotes, plan reads, and
@@ -28,11 +31,12 @@
 ///     admits/completions/cancellations change the signature and thereby
 ///     invalidate structurally.
 ///
-///  3. **Shared compute.** Batch planning runs as one job on the existing
-///     `ThreadPool`, so many service instances (or a service plus the
-///     Monte-Carlo harness) share one machine-wide worker budget.
+///  3. **Shared compute.** Planning kernels fan out over the existing
+///     `ThreadPool` (`kernel_exec()`), so many service instances (or a
+///     service plus the Monte-Carlo harness) share one machine-wide worker
+///     budget.
 ///
-/// The service also supports graceful drain/shutdown and snapshot/restore
+/// The service also supports graceful shutdown and snapshot/restore
 /// (`snapshot.hpp`), so a restarted daemon resumes its commitments
 /// mid-horizon.
 ///
@@ -47,8 +51,11 @@
 /// lowest-laxity requests under overload instead of growing without bound.
 /// Injected faults (`faults/fault_injection.hpp`) surface as structured
 /// error kinds on decisions — except `InjectedCrash`, which is *never*
-/// swallowed: it propagates (simulating the process dying) so crash tests
-/// observe exactly what durability survived.
+/// swallowed: it propagates out of the pump that hit it (simulating the
+/// process dying) so crash tests observe exactly what durability survived.
+/// From then on the service decides nothing more: `injected_crashes_total`
+/// counts the crash, the queue closes and every queued promise breaks,
+/// later submits throw, and `shutdown()` never pumps again.
 
 #include <atomic>
 #include <chrono>
@@ -57,7 +64,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -97,23 +103,16 @@ struct ServiceOptions {
   /// Platform frequency ceiling; `kInf` models the ideal continuous
   /// platform (admission then only rejects malformed requests).
   double f_max = kInf;
-  /// How long the dispatcher keeps collecting after the first request of a
-  /// batch arrives.
-  std::chrono::microseconds batch_window{200};
-  /// Hard cap on requests admitted as one batch.
+  /// Hard cap on requests decided in one pump round (one batch).
   std::size_t max_batch = 64;
   /// Plan cache entries (0 disables caching).
   std::size_t cache_capacity = 128;
   /// Quantization grain of the plan-cache signature.
   double signature_quantum = 1e-6;
-  /// When true, no dispatcher thread is started; the owner drives batches
-  /// explicitly via `pump()`. Deterministic mode for tests and replay.
-  bool manual_dispatch = false;
-  /// Run batch planning on `ThreadPool::global()` instead of the
-  /// dispatcher thread (ignored in manual mode), and fan the planning
-  /// kernel itself out over the same pool. The kernel shares that one
-  /// worker budget — a planning pass never spawns threads of its own — and
-  /// its plans are bit-identical to serial planning at any pool size.
+  /// Fan the planning kernel out over `ThreadPool::global()` (or `pool`).
+  /// The kernel shares that one worker budget — a planning pass never
+  /// spawns threads of its own — and its plans are bit-identical to serial
+  /// planning at any pool size.
   bool use_thread_pool = true;
   /// Try the exact convex solve as the top rung of every planning pass,
   /// falling back to F2 → F1 when it fails or runs out of budget. Off by
@@ -146,9 +145,9 @@ struct ServiceOptions {
   /// journaling. On construction the journal is replayed — on top of the
   /// snapshot, when resuming from one — before any request is served.
   std::string journal_path;
-  /// Run planning kernels (and batch jobs) on this pool instead of
-  /// `ThreadPool::global()`. Lets owners give each service instance —
-  /// supervisor shards, tests at pools {1, 2, 8} — its own worker budget;
+  /// Run planning kernels on this pool instead of `ThreadPool::global()`.
+  /// Lets owners give each service instance — supervisor shards, tests at
+  /// pools {1, 2, 8} — its own worker budget;
   /// plans are bit-identical at any pool size (the `Exec` contract).
   /// Ignored when `use_thread_pool` is false. Not owned; must outlive the
   /// service.
@@ -157,9 +156,10 @@ struct ServiceOptions {
 
 struct Exec;
 
-/// The batched admission daemon. Thread-safe: any number of client threads
-/// may call `submit`, `quote`, `complete`, `cancel`, and the read accessors
-/// concurrently.
+/// The batched admission service. Thread-safe: any number of client threads
+/// may call `submit`, `submit_wait`, `pump`, `quote`, `complete`, `cancel`,
+/// and the read accessors concurrently. It owns no thread: decisions are
+/// made on the threads of the callers that pump.
 class SchedulerService {
  public:
   explicit SchedulerService(const PowerModel& power, ServiceOptions options = {});
@@ -171,7 +171,8 @@ class SchedulerService {
   SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
                    ServiceOptions options = {});
 
-  /// Graceful: drains queued requests, then stops the dispatcher.
+  /// Graceful: `shutdown()`. A crash injected while deciding what was still
+  /// queued ends the service like any other crash; it is not rethrown.
   ~SchedulerService();
 
   SchedulerService(const SchedulerService&) = delete;
@@ -180,16 +181,21 @@ class SchedulerService {
   /// \name Admission traffic
   /// @{
 
-  /// Enqueue an admission request. The future resolves after the batch
-  /// containing the request is processed. A non-empty `rid` (client
+  /// Enqueue an admission request. The future resolves once a caller pumps
+  /// the batch containing the request (`submit_wait`, `pump`, `shutdown`);
+  /// `submit` itself never decides anything. A non-empty `rid` (client
   /// request id, no whitespace) makes the admission *idempotent*: a retry
   /// carrying the same rid — in this incarnation or after a crash/restart
   /// over the same journal — resolves to the original task id with
   /// `ServiceDecision::deduplicated` set instead of double-committing.
-  /// Throws `std::runtime_error` after `shutdown()`.
+  /// Throws `std::runtime_error` after `shutdown()` or a crash.
   std::future<ServiceDecision> submit(const Task& task, std::string rid = {});
 
-  /// Submit and block for the decision (drives a `pump()` in manual mode).
+  /// Submit, then pump rounds until this request is decided. Rounds that
+  /// other callers pump decide it just as well: a caller waiting on the
+  /// pump lock finds its request already answered and returns. Throws
+  /// `InjectedCrash` when a crash hits the round this caller pumps, and
+  /// `std::future_error` when another caller's round crashed first.
   ServiceDecision submit_wait(const Task& task, std::string rid = {});
 
   /// Non-binding admission check with an energy quote: evaluates the
@@ -257,21 +263,22 @@ class SchedulerService {
   /// \name Lifecycle
   /// @{
 
-  /// Manual mode only: process everything currently queued (in batches of
-  /// at most `max_batch`). Returns the number of requests processed.
+  /// Decide everything currently queued, in rounds of at most `max_batch`.
+  /// Returns the number of requests decided (0 after a crash). Every
+  /// request submitted before the call is decided when it returns.
   std::size_t pump();
 
-  /// Block until every request submitted before this call is decided.
-  void drain();
-
-  /// Stop accepting submissions, decide everything still queued, stop the
-  /// dispatcher. Idempotent; called by the destructor.
+  /// Stop accepting submissions and decide everything still queued (unless
+  /// the service crashed). Idempotent; called by the destructor.
   void shutdown();
   /// @}
 
  private:
-  void dispatcher_loop();
-  void process_batch(std::vector<PendingRequest> batch);
+  /// One pump round: pop at most `max_batch` requests and decide them.
+  /// Returns the number popped. On `InjectedCrash` the service dies (see
+  /// the failure model) and the crash propagates. Caller holds
+  /// `pump_mutex_`.
+  std::size_t pump_round_locked();
   void run_batch(std::vector<PendingRequest> batch);
 
   /// Fallback-chain configuration derived from the options; the budget
@@ -308,14 +315,22 @@ class SchedulerService {
   Exec kernel_exec() const;
   void refresh_gauges_locked();
 
+  /// Tests hold `pump_mutex_` through it to stage a round that arrives
+  /// while another caller is pumping.
+  friend struct SchedulerServiceTestPeer;
+
   PowerModel power_;
   ServiceOptions options_;
   MetricsRegistry metrics_;
   RequestQueue queue_;
   std::optional<AdmissionJournal> journal_;  ///< open iff `journal_path` set
 
+  /// Serializes pump rounds; taken before `state_mutex_`.
+  std::mutex pump_mutex_;
+  /// An `InjectedCrash` escaped a pump round; guarded by `pump_mutex_`.
+  bool crashed_ = false;
+
   mutable std::mutex state_mutex_;
-  std::condition_variable drain_cv_;
   std::vector<std::pair<TaskId, Task>> committed_;  ///< id order
   /// Cached `plan_signature(committed_)`; valid iff
   /// `committed_signature_valid_`. A committed admit extends it in place
@@ -332,11 +347,9 @@ class SchedulerService {
   /// cache it sits behind.
   std::optional<DeltaPlanner> delta_planner_;
   std::uint64_t batches_ = 0;
-  std::uint64_t decided_requests_ = 0;
 
   std::atomic<int> brownout_level_{0};
   std::atomic<bool> shutdown_{false};
-  std::thread dispatcher_;  ///< not started in manual mode
 };
 
 }  // namespace easched

@@ -51,43 +51,7 @@ ServiceShard::ServiceShard(const PowerModel& power, ShardOptions options)
 ServiceShard::~ServiceShard() = default;
 
 ServiceDecision ServiceShard::submit(const Task& task, std::string rid, std::size_t pressure) {
-  std::lock_guard lock(mutex_);
-  if (!service_ && !tick_down_locked()) {
-    return unavailable_decision_locked("shard down (restart scheduled)");
-  }
-
-  if (options_.brownout_enabled) apply_brownout_locked(ladder_.observe(pressure));
-  const int level = ladder_.level();
-  if (level >= kBrownoutMaxLevel && slack_ratio(task) < ladder_.options().shed_slack) {
-    ++stats_.brownout_sheds;
-    last_activity_ = std::chrono::steady_clock::now();
-    ServiceDecision shed;
-    shed.error_kind = AdmissionErrorKind::kOverload;
-    shed.admission.admitted = false;
-    shed.admission.rejection_reason = "brownout shed (level 3, lowest laxity)";
-    shed.brownout_level = level;
-    return shed;
-  }
-
-  try {
-    // Arrival crash site: fires before anything is queued or committed, so
-    // a kill here loses nothing a client was ever acked for. Both the
-    // fleet-wide and the shard-addressed name are consulted.
-    faults::kill_point("shard.submit");
-    faults::kill_point(submit_site_);
-    ServiceDecision decision = service_->submit_wait(task, std::move(rid));
-    decision.brownout_level = level;
-    last_activity_ = std::chrono::steady_clock::now();
-    if (options_.journal_compact_bytes > 0 && ++ops_since_size_check_ >= kSizeCheckPeriod) {
-      ops_since_size_check_ = 0;
-      if (over_compact_threshold_locked()) snapshot_and_compact_locked();
-    }
-    return decision;
-  } catch (const InjectedCrash& crash) {
-    ++stats_.crashes_contained;
-    mark_down_locked(crash.restart_after());
-    return unavailable_decision_locked(std::string("shard crashed at ") + crash.point());
-  }
+  return submit_batch({ShardBatchItem{task, std::move(rid)}}, pressure).front();
 }
 
 std::vector<ServiceDecision> ServiceShard::submit_batch(
@@ -152,9 +116,8 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
     }
   }
 
-  // Tear down before collecting: an inner crash leaves undecided requests
-  // in the service queue, and only destroying it breaks their promises
-  // (otherwise the gets below would wait forever).
+  // A crash that escaped the pump already broke every undecided promise;
+  // tearing the service down just makes the shard unavailable.
   const bool crashed = inner_crash || crashed_at < items.size();
   if (crashed) {
     ++stats_.crashes_contained;
@@ -310,7 +273,6 @@ bool ServiceShard::restart_now() {
 bool ServiceShard::start_service_locked() {
   try {
     ServiceOptions service_options = options_.service;
-    service_options.manual_dispatch = true;
     service_options.journal_path = options_.journal_path;
     std::optional<ServiceSnapshot> base;
     if (!options_.snapshot_path.empty()) {
@@ -342,9 +304,10 @@ bool ServiceShard::start_service_locked() {
 }
 
 void ServiceShard::mark_down_locked(std::uint64_t restart_after) {
-  // The crash happened inside a pumped batch, so the inner queue is
-  // drained: tearing the service down cannot replay armed kill points from
-  // its destructor.
+  // A crash that escaped a pump closed the inner queue and broke its
+  // promises, and a crashed service never pumps again — so tearing it down
+  // cannot decide (or journal) anything more, nor replay armed kill points
+  // from its destructor.
   service_.reset();
   restart_countdown_ = restart_after;
 }

@@ -7,19 +7,21 @@
 ///
 /// A shard is the supervisor's unit of failure. It owns a private
 /// `SchedulerService` (own journal path, own snapshot file, own plan cache,
-/// own kernel `Exec` via `ServiceOptions::pool`) and drives it in
-/// `manual_dispatch` mode under the shard lock, so every operation is a
+/// own kernel `Exec` via `ServiceOptions::pool`) and pumps it on the
+/// caller's thread under the shard lock, so every operation is a
 /// synchronous submit→pump→decide round with deterministic crash points.
 ///
 /// **Crash containment.** Service code never swallows `InjectedCrash`; the
-/// shard is the layer that finally catches it. A crash tears down the inner
-/// service (the "process" died), marks the shard down, and records the kill
-/// spec's `restart_after` — the number of further routed operations the
-/// shard stays down before recovering, which is how the chaos grammar's
-/// `kill:shard.submit@3;restart_after=5` schedules become behavior. While
-/// down, routed operations are answered `AdmissionErrorKind::kUnavailable`
-/// (clients retry with the same rid) and each one ticks the restart
-/// countdown.
+/// shard is the layer that finally catches it. A crash that escapes the
+/// inner pump has already closed the inner queue and broken every
+/// undecided promise; the shard then tears the inner service down (the
+/// "process" died, and it decides nothing more), marks the shard down, and
+/// records the kill spec's `restart_after` — the number of further routed
+/// operations the shard stays down before recovering, which is how the
+/// chaos grammar's `kill:shard.submit@3;restart_after=5` schedules become
+/// behavior. While down, routed operations are answered
+/// `AdmissionErrorKind::kUnavailable` (clients retry with the same rid) and
+/// each one ticks the restart countdown.
 ///
 /// **Recovery.** Restart rebuilds the service from its snapshot file plus
 /// the journal replayed over it — every acked admit survives, and the
@@ -61,8 +63,8 @@ struct ShardOptions {
   /// Snapshot file path; empty disables snapshots (recovery then replays
   /// the whole journal).
   std::string snapshot_path;
-  /// Inner service tuning. `manual_dispatch` is forced on and
-  /// `journal_path` is overwritten with the shard's own.
+  /// Inner service tuning. `journal_path` is overwritten with the shard's
+  /// own.
   ServiceOptions service;
   /// Brownout watermarks (see `brownout.hpp`).
   BrownoutOptions brownout;
@@ -108,10 +110,10 @@ class ServiceShard {
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// Synchronous admission round. `pressure` is the caller's congestion
-  /// observation (supervisor in-flight count) feeding the brownout ladder.
-  /// Never throws `InjectedCrash`: a crash is contained and the decision
-  /// comes back `kUnavailable`.
+  /// Synchronous admission round: a `submit_batch` of one. `pressure` is
+  /// the caller's congestion observation (supervisor in-flight count)
+  /// feeding the brownout ladder. Never throws `InjectedCrash`: a crash is
+  /// contained and the decision comes back `kUnavailable`.
   ServiceDecision submit(const Task& task, std::string rid = {}, std::size_t pressure = 0);
 
   /// Batched admission round: N arrivals decided under one shard lock with
@@ -119,9 +121,12 @@ class ServiceShard {
   /// processes the whole batch in a single pump). Decisions come back in
   /// item order and a batch of one is bit-identical to `submit` — same lock
   /// scope, same kill-point order, same dedup and journal behavior. Partial
-  /// failure is per-item: a contained crash at item j answers items j..N-1
-  /// `kUnavailable` (retryable, same rid) after draining the already-queued
-  /// prefix, and never throws.
+  /// failure is per-item and never throws. An arrival crash at item j
+  /// answers items j..N-1 `kUnavailable` (retryable, same rid) after
+  /// deciding the already-queued prefix. A crash inside the pump answers
+  /// every item not yet acknowledged `kUnavailable` — the whole round it hit
+  /// and everything queued behind it — and nothing behind the crash is
+  /// decided or journaled.
   std::vector<ServiceDecision> submit_batch(const std::vector<ShardBatchItem>& items,
                                             std::size_t pressure = 0);
 

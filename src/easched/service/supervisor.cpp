@@ -85,20 +85,8 @@ std::size_t Supervisor::route(std::string_view tenant) const {
 
 ServiceDecision Supervisor::submit(std::string_view tenant, const Task& task, std::string rid,
                                    std::size_t pressure_hint) {
-  const std::size_t k = route(tenant);
-  std::atomic<std::size_t>& in_flight = *in_flight_[k];
-  const std::size_t concurrent = in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
-  requests_routed_.fetch_add(1, std::memory_order_relaxed);
-
-  ServiceDecision decision =
-      shards_[k]->submit(task, std::move(rid), std::max(pressure_hint, concurrent));
-  in_flight.fetch_sub(1, std::memory_order_relaxed);
-
-  if (shard_level_[k]->exchange(decision.brownout_level, std::memory_order_relaxed) !=
-      decision.brownout_level) {
-    refresh_brownout_state();
-  }
-  return decision;
+  return submit_batch({BatchItem{std::string(tenant), task, std::move(rid)}}, pressure_hint)
+      .front();
 }
 
 std::vector<ServiceDecision> Supervisor::submit_batch(const std::vector<BatchItem>& items,

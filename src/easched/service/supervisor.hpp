@@ -62,8 +62,8 @@ struct SupervisorOptions {
   /// a supervised fleet without journals could not honor the no-lost-acks
   /// contract across restarts.
   std::string data_dir;
-  /// Inner-service template applied to every shard (`manual_dispatch` is
-  /// forced on, `journal_path` replaced per shard). Set
+  /// Inner-service template applied to every shard (`journal_path`
+  /// replaced per shard). Set
   /// `ServiceOptions::pool` here to give the whole fleet one worker budget.
   ServiceOptions service;
   /// Brownout watermarks applied to every shard's ladder.

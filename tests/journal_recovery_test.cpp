@@ -21,7 +21,6 @@ ServiceOptions journal_options(std::string path) {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = kInf;
-  options.manual_dispatch = true;
   options.journal_path = std::move(path);
   return options;
 }

@@ -129,7 +129,6 @@ TEST(MetricsRestore, ServiceCountersSurviveSnapshotRestore) {
   const PowerModel power(3.0, 0.1);
   ServiceOptions options;
   options.cores = 2;
-  options.manual_dispatch = true;
 
   ServiceSnapshot snap;
   std::uint64_t admitted_before = 0;

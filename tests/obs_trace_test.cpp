@@ -102,7 +102,8 @@ TEST(Tracer, SpanArgsKeepFirstTwo) {
     span.arg("second", 2.0);
     span.arg("third", 3.0);  // silently ignored: records hold two args
   }
-  const SpanRecord& span = find_span(tracer.records(), "args");
+  const std::vector<SpanRecord> records = tracer.records();
+  const SpanRecord& span = find_span(records, "args");
   EXPECT_STREQ(span.arg0_name, "first");
   EXPECT_STREQ(span.arg1_name, "second");
   EXPECT_DOUBLE_EQ(span.arg1, 2.0);
@@ -164,7 +165,8 @@ TEST(Tracer, EmitRecordsRetrospectiveInterval) {
     const TraceScope scope(tracer);
     obs::emit("queue.wait", start, end, 7);
   }
-  const SpanRecord& span = find_span(tracer.records(), "queue.wait");
+  const std::vector<SpanRecord> records = tracer.records();
+  const SpanRecord& span = find_span(records, "queue.wait");
   EXPECT_EQ(span.request, 7u);
   EXPECT_NEAR(static_cast<double>(span.dur_ns), 250e3, 1.0);
 }
@@ -248,7 +250,6 @@ TEST(Tracer, ServiceEmitsQueuePlanJournalChainPerAdmittedRequest) {
     const TraceScope scope(tracer);
     ServiceOptions options;
     options.cores = 2;
-    options.manual_dispatch = true;
     options.journal_path = journal_path;
     SchedulerService service(PowerModel(3.0, 0.1), options);
 

@@ -26,7 +26,7 @@ TEST(RequestQueueOverloadTest, UnboundedQueueNeverRejects) {
   std::vector<std::future<ServiceDecision>> futures;
   for (int i = 0; i < 100; ++i) futures.push_back(queue.push(with_laxity(1.0)));
   EXPECT_EQ(queue.depth(), 100u);
-  EXPECT_EQ(queue.rejected_early(), 0u);
+  EXPECT_EQ(queue.shed() + queue.overload_rejected(), 0u);
   for (const auto& fut : futures) EXPECT_FALSE(ready(fut));
 }
 
@@ -61,7 +61,7 @@ TEST(RequestQueueOverloadTest, ShedsLowestLaxityQueuedVictim) {
   EXPECT_EQ(batch[0].task.deadline, with_laxity(5.0).deadline);
   EXPECT_EQ(batch[1].task.deadline, with_laxity(10.0).deadline);
   EXPECT_LT(batch[0].sequence, batch[1].sequence);
-  EXPECT_EQ(queue.rejected_early(), 2u);
+  EXPECT_EQ(queue.shed() + queue.overload_rejected(), 2u);
 }
 
 TEST(RequestQueueOverloadTest, LaxityTieRejectsTheArrival) {
@@ -95,7 +95,6 @@ TEST(RequestQueueOverloadTest, InjectedDuplicateGetsItsOwnSequence) {
   auto fut = queue.push(with_laxity(3.0));
   EXPECT_EQ(queue.depth(), 2u);
   EXPECT_EQ(queue.fault_duplicated(), 1u);
-  EXPECT_EQ(queue.pushed(), 2u);
 
   auto batch = queue.pop_all(16);
   ASSERT_EQ(batch.size(), 2u);
@@ -104,15 +103,17 @@ TEST(RequestQueueOverloadTest, InjectedDuplicateGetsItsOwnSequence) {
   EXPECT_FALSE(ready(fut));  // the original still awaits a batch decision
 }
 
-TEST(RequestQueueOverloadTest, CountersFeedRejectedEarly) {
+TEST(RequestQueueOverloadTest, OverloadCountersAccountForEveryPush) {
   RequestQueue queue(1);
   (void)queue.push(with_laxity(2.0));
   std::vector<std::future<ServiceDecision>> rejected;
   for (int i = 0; i < 5; ++i) rejected.push_back(queue.push(with_laxity(1.0)));
   EXPECT_EQ(queue.overload_rejected(), 5u);
-  EXPECT_EQ(queue.rejected_early(), 5u);
-  // pushed() - rejected_early() = requests a dispatcher batch will decide.
-  EXPECT_EQ(queue.pushed() - queue.rejected_early(), 1u);
+  EXPECT_EQ(queue.shed(), 0u);
+  for (const auto& fut : rejected) EXPECT_TRUE(ready(fut));
+  // Six pushes: five answered at the queue, one left for a batch to decide.
+  EXPECT_EQ(queue.depth(), 1u);
+  EXPECT_EQ(queue.pop_all(16).size(), 1u);
 }
 
 }  // namespace

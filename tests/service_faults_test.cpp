@@ -1,15 +1,13 @@
-// Service-level fault tolerance: the ISSUE acceptance scenario (100% exact
+// Service-level fault tolerance: the acceptance scenario (100% exact
 // failure, every request answered by a fallback rung or reasoned rejection,
-// zero invalid plans), structured error kinds, batch-job fault recovery, and
-// dispatcher crash behavior.
+// zero invalid plans), structured error kinds, and what a crash inside a
+// caller's pump leaves behind.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "easched/common/math.hpp"
@@ -21,11 +19,10 @@ namespace {
 
 PowerModel test_power() { return PowerModel(3.0, 0.1); }
 
-ServiceOptions manual_options() {
+ServiceOptions test_options() {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = kInf;
-  options.manual_dispatch = true;
   return options;
 }
 
@@ -42,7 +39,7 @@ TEST(ServiceFaultsTest, TotalExactFailureStreamIsServedByFallback) {
   FaultInjector injector(FaultPlan::parse("seed=5;solver_stall:p=1"));
   faults::FaultScope scope(injector);
 
-  ServiceOptions options = manual_options();
+  ServiceOptions options = test_options();
   options.exact_first = true;
   SchedulerService service(test_power(), options);
 
@@ -73,7 +70,7 @@ TEST(ServiceFaultsTest, TotalExactFailureStreamIsServedByFallback) {
 }
 
 TEST(ServiceFaultsTest, PlanningFailureBecomesReasonedRejection) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
 
   // Astronomical work overflows every rung's energy to infinity: the whole
   // chain fails, and the service must reject with the chain's reasons — not
@@ -96,13 +93,13 @@ TEST(ServiceFaultsTest, PlanningFailureBecomesReasonedRejection) {
 
 TEST(ServiceFaultsTest, DecisionsCarryTheServingRung) {
   {
-    SchedulerService service(test_power(), manual_options());
+    SchedulerService service(test_power(), test_options());
     const ServiceDecision decision = service.submit_wait(stream_task(0));
     ASSERT_TRUE(decision.admission.admitted);
     EXPECT_EQ(decision.plan_rung, PlanRung::kDer);  // default chain tops at F2
   }
   {
-    ServiceOptions options = manual_options();
+    ServiceOptions options = test_options();
     options.exact_first = true;
     SchedulerService service(test_power(), options);
     const ServiceDecision decision = service.submit_wait(stream_task(0));
@@ -111,62 +108,42 @@ TEST(ServiceFaultsTest, DecisionsCarryTheServingRung) {
   }
 }
 
-TEST(ServiceFaultsTest, InjectedBatchJobFailureIsRetriedInline) {
-  // job_fail:p=1 makes every pool job throw before its body runs — batch
-  // jobs included. The service must catch the batch-job fault, rerun the
-  // batch inline, and still answer every client.
-  FaultInjector injector(FaultPlan::parse("job_fail:p=1"));
-  faults::FaultScope scope(injector);
-
-  ServiceOptions options;
-  options.cores = 2;
-  options.f_max = kInf;
-  options.use_thread_pool = true;
-  SchedulerService service(test_power(), options);
-
-  std::vector<std::future<ServiceDecision>> futures;
-  for (int i = 0; i < 20; ++i) futures.push_back(service.submit(stream_task(i)));
-  service.drain();
-  for (auto& fut : futures) {
-    const ServiceDecision decision = fut.get();
-    EXPECT_TRUE(decision.admission.admitted);
-  }
-  EXPECT_EQ(service.committed_count(), 20u);
-  EXPECT_GE(service.metrics().counter("batch_job_faults_total"), 1u);
-}
-
-TEST(ServiceFaultsTest, DispatcherCrashBreaksInFlightPromisesAndJournalRecovers) {
+TEST(ServiceFaultsTest, PumpCrashEndsTheServiceAndJournalRecovers) {
   const std::string path = ::testing::TempDir() + "/service_faults_crash.log";
   std::remove(path.c_str());
 
   FaultInjector injector(FaultPlan::parse("kill:journal.admit.post@3"));
-  std::uint64_t crashes = 0;
   {
     faults::FaultScope scope(injector);
-    ServiceOptions options;
-    options.cores = 2;
-    options.f_max = kInf;
+    ServiceOptions options = test_options();
     options.journal_path = path;
+    options.max_batch = 1;  // one request per round, so some stay queued
     SchedulerService service(test_power(), options);
 
-    // Serialize one admit per batch so the armed visit maps to request #3.
-    EXPECT_TRUE(service.submit(stream_task(0)).get().admission.admitted);
-    EXPECT_TRUE(service.submit(stream_task(1)).get().admission.admitted);
+    EXPECT_TRUE(service.submit_wait(stream_task(0)).admission.admitted);
+    EXPECT_TRUE(service.submit_wait(stream_task(1)).admission.admitted);
     auto doomed = service.submit(stream_task(2));
-    // The dispatcher dies mid-batch: the in-flight promise breaks (the
-    // client sees a dead server, not a fabricated answer).
+    auto queued = service.submit(stream_task(3));
+    // This caller's first round decides the third admit, which crashes after
+    // its WAL append: the crash propagates out of the pump that hit it and
+    // is counted.
+    EXPECT_THROW(service.submit_wait(stream_task(4)), InjectedCrash);
+    EXPECT_EQ(service.metrics().counter("injected_crashes_total"), 1u);
+    // The in-flight promise and every queued one break: clients see a dead
+    // server, not a fabricated answer.
     EXPECT_THROW(doomed.get(), std::future_error);
-    // The promise breaks during unwind, slightly before the dispatcher's
-    // catch records the crash — poll briefly for the counter.
-    for (int i = 0; i < 200 && crashes == 0; ++i) {
-      crashes = service.metrics().counter("injected_crashes_total");
-      if (crashes == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    EXPECT_THROW(queued.get(), std::future_error);
+    // The service decides nothing more: submits throw and pumps are no-ops.
+    EXPECT_THROW(service.submit(stream_task(5)), std::runtime_error);
+    EXPECT_THROW(service.submit_wait(stream_task(5)), std::runtime_error);
+    EXPECT_EQ(service.pump(), 0u);
+    service.shutdown();
   }
-  EXPECT_EQ(crashes, 1u);
+  // Nothing behind the crash reached the journal.
+  EXPECT_EQ(injector.kill_visits("journal.admit.post"), 3u);
 
   // The kill fired *after* the flush, so all three admits are durable.
-  ServiceOptions options = manual_options();
+  ServiceOptions options = test_options();
   options.journal_path = path;
   SchedulerService recovered(test_power(), options);
   EXPECT_EQ(recovered.committed_count(), 3u);
@@ -177,7 +154,7 @@ TEST(ServiceFaultsTest, DroppedRequestsAreAnsweredAndCounted) {
   FaultInjector injector(FaultPlan::parse("seed=3;request_drop:p=0.5"));
   faults::FaultScope scope(injector);
 
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   int dropped = 0;
   for (int i = 0; i < 40; ++i) {
     const ServiceDecision decision = service.submit_wait(stream_task(i));
@@ -198,7 +175,7 @@ TEST(ServiceFaultsTest, DuplicatedRequestsKeepTheServiceConsistent) {
   FaultInjector injector(FaultPlan::parse("request_dup:p=1"));
   faults::FaultScope scope(injector);
 
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   const ServiceDecision decision = service.submit_wait(stream_task(0));
   EXPECT_TRUE(decision.admission.admitted);
   // At-least-once delivery: the duplicate is admitted as its own task (a
@@ -209,7 +186,7 @@ TEST(ServiceFaultsTest, DuplicatedRequestsKeepTheServiceConsistent) {
 }
 
 TEST(ServiceFaultsTest, BoundedQueueMetricsSurfaceOverload) {
-  ServiceOptions options = manual_options();
+  ServiceOptions options = test_options();
   options.queue_capacity = 4;
   SchedulerService service(test_power(), options);
 

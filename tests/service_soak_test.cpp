@@ -1,12 +1,14 @@
 // SchedulerService under concurrency: batched admission must be
 // deterministic (same accept/reject set as sequential arrival-order
-// admission), and a multi-client soak must never miss a deadline among
-// admitted tasks.
+// admission), requests queued behind a pumping caller must be decided as
+// one batch in sequence order, and a multi-client soak must never miss a
+// deadline among admitted tasks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +20,15 @@
 #include "easched/sim/executor.hpp"
 
 namespace easched {
+
+/// Holds a service's pump lock, standing in for a caller that is in the
+/// middle of deciding a batch.
+struct SchedulerServiceTestPeer {
+  static std::unique_lock<std::mutex> hold_pump(SchedulerService& service) {
+    return std::unique_lock<std::mutex>(service.pump_mutex_);
+  }
+};
+
 namespace {
 
 PowerModel test_power() { return PowerModel(/*alpha=*/3.0, /*static_power=*/0.1); }
@@ -59,7 +70,6 @@ TEST(ServiceDeterminismTest, OneBatchMatchesSequentialArrivalOrderAdmission) {
   ServiceOptions options;
   options.cores = cores;
   options.f_max = f_max;
-  options.manual_dispatch = true;
   options.max_batch = stream.size();  // force a single batch
   SchedulerService service(power, options);
 
@@ -89,13 +99,14 @@ TEST(ServiceDeterminismTest, ConcurrentSubmissionMatchesSequentialReplayOfArriva
   ServiceOptions options;
   options.cores = cores;
   options.f_max = f_max;
-  options.batch_window = std::chrono::microseconds(300);
   options.max_batch = 16;
   SchedulerService service(power, options);
 
+  // Every client pumps on its own thread: a request is decided either by its
+  // own caller or by whichever caller held the pump when it was queued.
   const int clients = 4;
   const int per_client = 30;
-  std::vector<std::vector<std::pair<Task, std::future<ServiceDecision>>>> per_thread(
+  std::vector<std::vector<std::pair<Task, ServiceDecision>>> per_thread(
       static_cast<std::size_t>(clients));
   {
     std::vector<std::thread> workers;
@@ -105,20 +116,18 @@ TEST(ServiceDeterminismTest, ConcurrentSubmissionMatchesSequentialReplayOfArriva
         Rng rng(Rng::seed_of("service-concurrent", static_cast<std::uint64_t>(c)));
         for (int i = 0; i < per_client; ++i) {
           Task t = random_task(rng);
-          auto fut = service.submit(t);
-          per_thread[static_cast<std::size_t>(c)].emplace_back(t, std::move(fut));
+          per_thread[static_cast<std::size_t>(c)].emplace_back(t, service.submit_wait(t));
         }
       });
     }
     for (auto& w : workers) w.join();
   }
-  service.drain();
 
   // Recover the service's arrival order from the sequence numbers, then
   // replay that order sequentially: decisions must match exactly.
   std::vector<std::pair<Task, ServiceDecision>> by_sequence;
-  for (auto& client : per_thread) {
-    for (auto& [task, fut] : client) by_sequence.emplace_back(task, fut.get());
+  for (const auto& client : per_thread) {
+    by_sequence.insert(by_sequence.end(), client.begin(), client.end());
   }
   std::sort(by_sequence.begin(), by_sequence.end(),
             [](const auto& a, const auto& b) { return a.second.sequence < b.second.sequence; });
@@ -136,37 +145,79 @@ TEST(ServiceDeterminismTest, ConcurrentSubmissionMatchesSequentialReplayOfArriva
   }
 }
 
+TEST(ServiceDeterminismTest, RequestsQueuedWhileAnotherCallerPumpsFormTheNextBatch) {
+  ServiceOptions options;
+  options.cores = 2;
+  options.f_max = kInf;
+  SchedulerService service(test_power(), options);
+  ASSERT_TRUE(service.submit_wait(Task{0.0, 40.0, 4.0}).admission.admitted);  // batch 0
+
+  constexpr int kCallers = 4;
+  std::vector<ServiceDecision> decisions(kCallers);
+  std::vector<std::thread> callers;
+  {
+    // While this "caller" holds the pump, four more arrive and queue up
+    // behind it. The wait below only checks that they are queued; it decides
+    // nothing about how they are batched.
+    const std::unique_lock<std::mutex> pumping = SchedulerServiceTestPeer::hold_pump(service);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&service, &decisions, c] {
+        const double release = 1.0 + c;
+        decisions[static_cast<std::size_t>(c)] =
+            service.submit_wait(Task{release, release + 30.0, 2.0 + 0.5 * c});
+      });
+    }
+    while (service.metrics().counter("requests_total") < 1 + kCallers) {
+      std::this_thread::yield();
+    }
+  }
+  for (auto& caller : callers) caller.join();
+
+  // The first caller to take the pump decided all four as one batch; the
+  // others found their answers waiting.
+  EXPECT_EQ(service.metrics().counter("batches_total"), 2u);
+  std::sort(decisions.begin(), decisions.end(),
+            [](const auto& a, const auto& b) { return a.sequence < b.sequence; });
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    EXPECT_TRUE(decisions[i].admission.admitted);
+    EXPECT_EQ(decisions[i].batch, 1u);
+    EXPECT_EQ(decisions[i].sequence, i + 1);
+    // Decided in sequence order: ids follow the sequence, and each admit's
+    // baseline is the previous admit's energy.
+    EXPECT_EQ(decisions[i].id, static_cast<TaskId>(i + 1));
+    if (i > 0) {
+      EXPECT_EQ(decisions[i].admission.energy_before, decisions[i - 1].admission.energy_after);
+    }
+  }
+}
+
 TEST(ServiceSoakTest, FourClientsThousandRequestsZeroMissesAmongAdmitted) {
   const PowerModel power = test_power();
   ServiceOptions options;
   options.cores = 2;
   options.f_max = 1.0;
-  options.batch_window = std::chrono::microseconds(200);
   options.max_batch = 32;
   SchedulerService service(power, options);
 
   const int clients = 4;
   const int per_client = 250;
   std::vector<std::thread> workers;
-  std::vector<std::vector<std::future<ServiceDecision>>> futures(
-      static_cast<std::size_t>(clients));
+  std::vector<std::vector<ServiceDecision>> decisions(static_cast<std::size_t>(clients));
   workers.reserve(clients);
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
       Rng rng(Rng::seed_of("service-soak", static_cast<std::uint64_t>(c)));
       for (int i = 0; i < per_client; ++i) {
-        futures[static_cast<std::size_t>(c)].push_back(service.submit(random_task(rng)));
+        decisions[static_cast<std::size_t>(c)].push_back(service.submit_wait(random_task(rng)));
       }
     });
   }
   for (auto& w : workers) w.join();
-  service.drain();
 
   std::size_t admitted = 0;
   std::size_t rejected = 0;
-  for (auto& client : futures) {
-    for (auto& fut : client) {
-      const ServiceDecision d = fut.get();
+  for (const auto& client : decisions) {
+    for (const ServiceDecision& d : client) {
       if (d.admission.admitted) {
         ++admitted;
         EXPECT_GE(d.id, 0);

@@ -1,12 +1,15 @@
 // SchedulerService core behavior: admission decisions, quotes, plan cache
-// integration, complete/cancel, snapshot round trip, drain/shutdown.
+// integration, complete/cancel, snapshot round trip, concurrent callers and
+// shutdown.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "easched/power/power_model.hpp"
@@ -20,16 +23,15 @@ namespace {
 
 PowerModel test_power() { return PowerModel(/*alpha=*/3.0, /*static_power=*/0.1); }
 
-ServiceOptions manual_options(double f_max = kInf) {
+ServiceOptions test_options(double f_max = kInf) {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = f_max;
-  options.manual_dispatch = true;
   return options;
 }
 
 TEST(SchedulerServiceTest, AdmitsFeasibleTasksAndQuotesMarginalEnergy) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   const ServiceDecision first = service.submit_wait(Task{0.0, 10.0, 8.0});
   ASSERT_TRUE(first.admission.admitted);
   EXPECT_EQ(first.id, 0);
@@ -46,7 +48,7 @@ TEST(SchedulerServiceTest, AdmitsFeasibleTasksAndQuotesMarginalEnergy) {
 }
 
 TEST(SchedulerServiceTest, RejectsMalformedAndOverloadedTasks) {
-  SchedulerService service(test_power(), manual_options(/*f_max=*/1.0));
+  SchedulerService service(test_power(), test_options(/*f_max=*/1.0));
   const ServiceDecision malformed = service.submit_wait(Task{5.0, 5.0, 1.0});
   EXPECT_FALSE(malformed.admission.admitted);
   EXPECT_EQ(malformed.id, -1);
@@ -62,7 +64,7 @@ TEST(SchedulerServiceTest, RejectsMalformedAndOverloadedTasks) {
 TEST(SchedulerServiceTest, RejectionsMatchStandaloneAdmitTask) {
   const PowerModel power = test_power();
   const double f_max = 1.0;
-  SchedulerService service(power, manual_options(f_max));
+  SchedulerService service(power, test_options(f_max));
   // Saturate a 2-core window [0, 10] at f_max = 1 (capacity 20 work units).
   std::vector<Task> stream = {Task{0.0, 10.0, 9.0}, Task{0.0, 10.0, 9.0},
                               Task{0.0, 10.0, 9.0}, Task{1.0, 9.0, 4.0}};
@@ -81,7 +83,7 @@ TEST(SchedulerServiceTest, RejectionsMatchStandaloneAdmitTask) {
 }
 
 TEST(SchedulerServiceTest, QuoteDoesNotCommitAndWarmsTheCacheForAdmit) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   ASSERT_TRUE(service.submit_wait(Task{0.0, 10.0, 8.0}).admission.admitted);
   const Task candidate{2.0, 18.0, 14.0};
 
@@ -99,7 +101,7 @@ TEST(SchedulerServiceTest, QuoteDoesNotCommitAndWarmsTheCacheForAdmit) {
 }
 
 TEST(SchedulerServiceTest, RepeatedPlanReadsHitTheCache) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   ASSERT_TRUE(service.submit_wait(Task{0.0, 10.0, 8.0}).admission.admitted);
   const double energy = service.current_energy();
   const std::uint64_t misses_before = service.metrics().counter("plan_cache_misses_total");
@@ -112,7 +114,7 @@ TEST(SchedulerServiceTest, RepeatedPlanReadsHitTheCache) {
 }
 
 TEST(SchedulerServiceTest, CompleteAndCancelInvalidateThePlan) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   const ServiceDecision a = service.submit_wait(Task{0.0, 10.0, 8.0});
   const ServiceDecision b = service.submit_wait(Task{2.0, 18.0, 14.0});
   const double both = service.current_energy();
@@ -131,7 +133,7 @@ TEST(SchedulerServiceTest, CompleteAndCancelInvalidateThePlan) {
 }
 
 TEST(SchedulerServiceTest, PlanIsValidForCommittedSet) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   service.submit_wait(Task{0.0, 10.0, 8.0});
   service.submit_wait(Task{2.0, 18.0, 14.0});
   service.submit_wait(Task{5.0, 12.0, 6.0});
@@ -146,7 +148,7 @@ TEST(SchedulerServiceTest, PlanIsValidForCommittedSet) {
 }
 
 TEST(SchedulerServiceTest, MetricsDumpCoversTheServiceCounters) {
-  SchedulerService service(test_power(), manual_options(/*f_max=*/1.0));
+  SchedulerService service(test_power(), test_options(/*f_max=*/1.0));
   service.submit_wait(Task{0.0, 10.0, 8.0});
   service.submit_wait(Task{0.0, 10.0, 30.0});  // infeasible at f_max on 2 cores
   const std::string dump = service.metrics().dump();
@@ -159,7 +161,7 @@ TEST(SchedulerServiceTest, MetricsDumpCoversTheServiceCounters) {
 }
 
 TEST(SchedulerServiceTest, SnapshotRoundTripsThroughText) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   service.submit_wait(Task{0.0, 10.0, 8.0});
   service.submit_wait(Task{2.0, 18.0, 14.0});
   service.complete(0);  // leave a gap in the id space
@@ -184,13 +186,13 @@ TEST(SchedulerServiceTest, SnapshotRejectsMalformedDocuments) {
 TEST(SchedulerServiceTest, RestoredServiceResumesWithIdsAndPlanIntact) {
   ServiceSnapshot snap;
   {
-    SchedulerService service(test_power(), manual_options());
+    SchedulerService service(test_power(), test_options());
     service.submit_wait(Task{0.0, 10.0, 8.0});
     service.submit_wait(Task{2.0, 18.0, 14.0});
     snap = service.snapshot();
   }
 
-  SchedulerService restored(snap, test_power(), manual_options());
+  SchedulerService restored(snap, test_power(), test_options());
   EXPECT_EQ(restored.committed_count(), 2u);
   EXPECT_EQ(restored.committed_ids(), (std::vector<TaskId>{0, 1}));
   // The snapshot pre-seeds the cache AND re-seeds counter totals, so the
@@ -209,29 +211,37 @@ TEST(SchedulerServiceTest, RestoredServiceResumesWithIdsAndPlanIntact) {
 }
 
 TEST(SchedulerServiceTest, ThreadedServiceDrainsAndShutsDownGracefully) {
-  ServiceOptions options;
-  options.cores = 2;
-  options.batch_window = std::chrono::microseconds(100);
-  SchedulerService service(test_power(), options);
-  std::vector<std::future<ServiceDecision>> futures;
-  futures.reserve(20);
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(service.submit(Task{static_cast<double>(i), 100.0 + i, 3.0}));
+  SchedulerService service(test_power(), test_options());
+  // Four caller threads; each request is decided by whichever caller holds
+  // the pump when it is queued — the service runs no thread of its own.
+  std::atomic<int> admitted{0};
+  {
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c) {
+      callers.emplace_back([&service, &admitted, c] {
+        for (int i = c; i < 20; i += 4) {
+          const Task task{static_cast<double>(i), 100.0 + i, 3.0};
+          if (service.submit_wait(task).admission.admitted) ++admitted;
+        }
+      });
+    }
+    for (auto& caller : callers) caller.join();
   }
-  service.drain();
-  for (auto& f : futures) {
-    EXPECT_TRUE(f.get().admission.admitted);
-  }
+  EXPECT_EQ(admitted.load(), 20);
+
+  // A request nobody waits on stays queued until shutdown decides it.
+  auto queued = service.submit(Task{20.0, 120.0, 3.0});
   service.shutdown();
+  EXPECT_TRUE(queued.get().admission.admitted);
   EXPECT_THROW(service.submit(Task{0.0, 1.0, 0.5}), std::runtime_error);
   service.shutdown();  // idempotent
-  EXPECT_EQ(service.committed_count(), 20u);
+  EXPECT_EQ(service.committed_count(), 21u);
 }
 
 TEST(SchedulerServiceTest, ShutdownDecidesQueuedRequests) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), test_options());
   auto fut = service.submit(Task{0.0, 10.0, 4.0});
-  service.shutdown();  // manual mode: shutdown pumps the queue
+  service.shutdown();  // shutdown pumps the queue
   EXPECT_TRUE(fut.get().admission.admitted);
 }
 

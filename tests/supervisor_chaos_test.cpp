@@ -3,8 +3,10 @@
 // replay) and once clean, with clients retrying unavailable ops under the
 // same rid. The recovered fleet must end bit-identical to the uninterrupted
 // run — same committed ids, same task sets, same plans, same energy — at
-// kernel pools of 1, 2, and 8 threads. A separate test drives 4x overload
-// through the brownout ladder and checks the fleet keeps accepting.
+// kernel pools of 1, 2, and 8 threads. A crash in the middle of a 100-item
+// batch must decide nothing behind it, and retrying the batch under the same
+// rids must converge to the clean run too. A separate test drives 4x
+// overload through the brownout ladder and checks the fleet keeps accepting.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "easched/common/rng.hpp"
 #include "easched/faults/fault_injection.hpp"
 #include "easched/parallel/thread_pool.hpp"
+#include "easched/service/journal.hpp"
 #include "easched/service/supervisor.hpp"
 
 namespace easched {
@@ -179,6 +182,116 @@ TEST(SupervisorChaosTest, RecoveryIsBitIdenticalAcrossKernelPoolSizes) {
     ThreadPool pool(threads);
     const std::string label = "pool" + std::to_string(threads);
     expect_states_equal(run_stream("chaos_" + label, &pool, storm), clean, label);
+  }
+}
+
+constexpr int kBatchItems = 100;
+
+/// The 100-task rid-tagged batch of the crash-tail cases. f_max = inf, so
+/// every item is admittable and a clean run admits all of them.
+std::vector<Task> crash_tail_tasks() {
+  Rng rng(kStreamSeed + 1);
+  std::vector<Task> tasks;
+  for (int i = 0; i < kBatchItems; ++i) {
+    const double release = rng.uniform(0.0, 6.0);
+    tasks.push_back(Task{release, release + rng.uniform(10.0, 20.0), rng.uniform(0.2, 1.5)});
+  }
+  return tasks;
+}
+
+std::string crash_tail_rid(int i) { return "batch-" + std::to_string(i); }
+
+// A crash between one admit's WAL append and its acknowledgement, in the
+// middle of a 100-item round, must end the inner service on the spot: no
+// item behind the crash is decided or journaled, and tearing the service
+// down must not pump (a second armed kill would otherwise fire inside the
+// destructor and abort the process).
+const std::vector<std::string> kCrashTailSpecs = {
+    "kill:journal.admit.post@10",
+    "kill:journal.admit.post@10;kill:journal.admit.pre@20",
+};
+
+TEST(SupervisorChaosTest, CrashInsideABatchDecidesNothingBehindIt) {
+  const std::vector<Task> tasks = crash_tail_tasks();
+  std::vector<ShardBatchItem> items;
+  for (int i = 0; i < kBatchItems; ++i) {
+    items.push_back({tasks[static_cast<std::size_t>(i)], crash_tail_rid(i)});
+  }
+  for (std::size_t s = 0; s < kCrashTailSpecs.size(); ++s) {
+    SCOPED_TRACE(kCrashTailSpecs[s]);
+    const std::string dir = ::testing::TempDir() + "/crash_tail_" + std::to_string(s);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ShardOptions options;
+    options.journal_path = dir + "/shard0.wal";
+    options.snapshot_path = dir + "/shard0.snap";
+    options.service.cores = 2;
+    options.service.f_max = kInf;
+    options.brownout_enabled = false;
+    ServiceShard shard(PowerModel(3.0, 0.1), options);
+
+    FaultInjector injector(FaultPlan::parse(kCrashTailSpecs[s]));
+    faults::FaultScope scope(injector);
+    const std::vector<ServiceDecision> decisions = shard.submit_batch(items);
+    ASSERT_EQ(decisions.size(), items.size());
+    // Items 1-10 were journaled but the crash hit their round before any
+    // acknowledgement; items 11-100 were never decided. All are retryable.
+    for (int i = 0; i < kBatchItems; ++i) {
+      EXPECT_EQ(decisions[static_cast<std::size_t>(i)].error_kind,
+                AdmissionErrorKind::kUnavailable)
+          << "item " << i + 1;
+      EXPECT_FALSE(decisions[static_cast<std::size_t>(i)].admission.admitted) << "item " << i + 1;
+    }
+    EXPECT_FALSE(shard.up());
+    EXPECT_EQ(shard.stats().crashes_contained, 1u);
+    EXPECT_EQ(AdmissionJournal::recover(options.journal_path).committed.size(), 10u);
+  }
+}
+
+/// Sends the crash-tail batch through the fleet as one `submit_batch`, then
+/// retries every unavailable item with its rid until all are decided.
+std::vector<ShardState> run_crash_tail(const std::string& name, ThreadPool* pool,
+                                       const std::string& fault_spec) {
+  Supervisor supervisor(PowerModel(3.0, 0.1), chaos_options(name, pool));
+  std::optional<FaultInjector> injector;
+  std::optional<faults::FaultScope> scope;
+  if (!fault_spec.empty()) {
+    injector.emplace(FaultPlan::parse(fault_spec));
+    scope.emplace(*injector);
+  }
+
+  const std::vector<Task> tasks = crash_tail_tasks();
+  std::vector<int> pending(kBatchItems);
+  for (int i = 0; i < kBatchItems; ++i) pending[static_cast<std::size_t>(i)] = i;
+  for (int attempt = 0; attempt < 8 && !pending.empty(); ++attempt) {
+    std::vector<Supervisor::BatchItem> batch;
+    for (const int i : pending) {
+      batch.push_back({"tenant-" + std::to_string(i % 7), tasks[static_cast<std::size_t>(i)],
+                       crash_tail_rid(i)});
+    }
+    const std::vector<ServiceDecision> decisions = supervisor.submit_batch(batch);
+    std::vector<int> retry;
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+      if (decisions[j].error_kind == AdmissionErrorKind::kUnavailable) {
+        retry.push_back(pending[j]);
+      } else {
+        EXPECT_TRUE(decisions[j].admission.admitted) << "item " << pending[j] + 1;
+      }
+    }
+    pending = std::move(retry);
+  }
+  EXPECT_TRUE(pending.empty()) << pending.size() << " item(s) never recovered";
+  EXPECT_EQ(supervisor.committed_total(), static_cast<std::size_t>(kBatchItems));
+  return fleet_state(supervisor);
+}
+
+TEST(SupervisorChaosTest, CrashTailRetriedWithSameRidsConvergesToTheCleanRun) {
+  ThreadPool pool(2);
+  const std::vector<ShardState> clean = run_crash_tail("crash_tail_clean", &pool, "");
+  for (std::size_t s = 0; s < kCrashTailSpecs.size(); ++s) {
+    const std::vector<ShardState> faulted =
+        run_crash_tail("crash_tail_retry_" + std::to_string(s), &pool, kCrashTailSpecs[s]);
+    expect_states_equal(faulted, clean, kCrashTailSpecs[s]);
   }
 }
 
