@@ -13,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -155,6 +156,84 @@ void run_plan_der_stream(benchmark::State& state, std::size_t n) {
   state.counters["tasks"] = static_cast<double>(n);
 }
 
+// One shard's admission stream, the shape `sched.delta_plan_us` and
+// `sched.scratch_plan_us` measure in the e2ebench replay: an arrival at
+// model time t brings R = t + U(0,2), D = R + U(10,20), C = U(0.2,1.5), and
+// a task leaves once the clock passes its deadline. 1.7 arrivals per time
+// unit keep ~27 tasks live. Each entry is the live set one arrival plans:
+// expiries removed in place, the arrival appended.
+std::vector<TaskSet> make_shard_stream() {
+  constexpr std::size_t kWarmup = 64;
+  constexpr std::size_t kSteps = 2048;
+  constexpr double kRate = 1.7;
+  Rng rng(Rng::seed_of("perf-shard-stream"));
+  std::vector<TaskSet> sets;
+  std::vector<Task> live;
+  double t = 0.0;
+  for (std::size_t a = 0; a < kWarmup + kSteps; ++a) {
+    t += -std::log(1.0 - rng.uniform()) / kRate;
+    std::erase_if(live, [t](const Task& task) { return task.deadline < t; });
+    const double release = t + rng.uniform(0.0, 2.0);
+    live.push_back(Task{release, release + rng.uniform(10.0, 20.0), rng.uniform(0.2, 1.5)});
+    if (a >= kWarmup) sets.emplace_back(live);
+  }
+  return sets;
+}
+
+// The delta plan per arrival on the shard stream, serial as the service runs
+// it at this size. Wrapping from the last set back to the first is a full
+// rebuild, so it runs outside the timed region.
+void run_shard_delta_plan(benchmark::State& state) {
+  const std::vector<TaskSet> sets = make_shard_stream();
+  const PowerModel power(3.0, 0.1);
+  DeltaOptions options;
+  options.cores = kCores;
+  DeltaPlanner planner(power, options);
+  planner.plan_to(sets.front(), Exec::serial());
+  std::size_t step = 1;
+  std::size_t live = 0;
+  std::size_t dirty = 0;
+  std::size_t ops = 0;
+  std::size_t rebuilds = 0;
+  for (auto _ : state) {
+    if (step == sets.size()) {
+      state.PauseTiming();
+      planner.plan_to(sets.front(), Exec::serial());
+      step = 1;
+      state.ResumeTiming();
+    }
+    DeltaOutcome outcome;
+    benchmark::DoNotOptimize(planner.plan_to(sets[step], Exec::serial(), &outcome));
+    rebuilds += outcome.delta ? 0 : 1;
+    live += sets[step].size();
+    dirty += outcome.dirty_columns;
+    ops += outcome.ops;
+    ++step;
+  }
+  const double plans = static_cast<double>(state.iterations());
+  state.counters["live"] = static_cast<double>(live) / plans;
+  state.counters["ops_per_plan"] = static_cast<double>(ops) / plans;
+  state.counters["dirty_columns_per_op"] = static_cast<double>(dirty) / static_cast<double>(ops);
+  // Steps with more expiries than `max_ops` rebuild from scratch, as in the
+  // service.
+  state.counters["rebuild_share"] = static_cast<double>(rebuilds) / plans;
+}
+
+// The from-scratch DER plan of the same sets.
+void run_shard_plan_der(benchmark::State& state) {
+  const std::vector<TaskSet> sets = make_shard_stream();
+  const PowerModel power(3.0, 0.1);
+  std::size_t step = 0;
+  for (auto _ : state) {
+    const TaskSet& tasks = sets[step];
+    step = (step + 1) % sets.size();
+    const SubintervalDecomposition subs(tasks);
+    const IdealCase ideal(tasks, power);
+    benchmark::DoNotOptimize(
+        schedule_with_method(tasks, subs, kCores, power, ideal, AllocationMethod::kDer));
+  }
+}
+
 void run_interior_point(benchmark::State& state, std::size_t n, std::size_t threads) {
   const TaskSet tasks = make_tasks(n);
   const PowerModel power(3.0, 0.1);
@@ -194,6 +273,11 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(full_name.c_str(),
                                  [n](benchmark::State& s) { run_plan_der_stream(s, n); });
   }
+
+  // Shard-sized rows (~27 live): the kernel cost behind the e2ebench
+  // replay's `sched.delta_plan_us` and `sched.scratch_plan_us`.
+  benchmark::RegisterBenchmark("BM_ShardDeltaPlan", run_shard_delta_plan);
+  benchmark::RegisterBenchmark("BM_ShardPlanDer", run_shard_plan_der);
 
   for (const std::size_t n : {std::size_t{50}, std::size_t{200}, std::size_t{1000}}) {
     const std::string serial_name = "BM_PipelineSerial/n:" + std::to_string(n);

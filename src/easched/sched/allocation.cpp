@@ -165,6 +165,43 @@ Availability allocate_available_time(const TaskSet& tasks,
   return allocate_available_time(tasks, subintervals, cores, ideal, method, Exec::serial());
 }
 
+void ration_column(Availability& avail, const SubintervalDecomposition& subs, std::size_t j,
+                   int cores, const IdealCase& ideal, AllocationMethod method) {
+  const Subinterval& si = subs[j];
+  if (si.overlapping.empty()) return;
+
+  if (!si.heavy(cores)) {
+    // Observation 2: each overlapping task may occupy a whole core.
+    for (const TaskId i : si.overlapping) {
+      avail.set_in_column(static_cast<std::size_t>(i), j, si.length());
+    }
+    return;
+  }
+
+  // Thread-local scratch: each worker reuses one set of rationing buffers
+  // across its columns instead of allocating fresh vectors per heavy
+  // column. The computed values are independent of the buffers' history,
+  // so the result stays bit-identical at any pool size.
+  thread_local RationScratch scratch;
+  thread_local std::vector<double> ders;
+  if (method == AllocationMethod::kEven) {
+    const double share = std::min(si.length(), static_cast<double>(cores) * si.length() /
+                                                   static_cast<double>(si.overlapping.size()));
+    scratch.ration.assign(si.overlapping.size(), share);
+  } else {
+    ders.clear();
+    for (const TaskId i : si.overlapping) {
+      // DER (equation (24)): ideal execution time in this subinterval,
+      // scaled by the ideal frequency.
+      ders.push_back(ideal.execution_time_in(i, si.begin, si.end) * ideal.frequency(i));
+    }
+    der_ration_into(ders, cores, si.length(), scratch);
+  }
+  for (std::size_t k = 0; k < si.overlapping.size(); ++k) {
+    avail.set_in_column(static_cast<std::size_t>(si.overlapping[k]), j, scratch.ration[k]);
+  }
+}
+
 Availability allocate_available_time(const TaskSet& tasks,
                                      const SubintervalDecomposition& subintervals, int cores,
                                      const IdealCase& ideal, AllocationMethod method,
@@ -174,40 +211,7 @@ Availability allocate_available_time(const TaskSet& tasks,
 
   Availability avail(tasks, subintervals);
   exec.loop(subintervals.size(), [&](std::size_t j) {
-    const Subinterval& si = subintervals[j];
-    if (si.overlapping.empty()) return;
-
-    if (!si.heavy(cores)) {
-      // Observation 2: each overlapping task may occupy a whole core.
-      for (const TaskId i : si.overlapping) {
-        avail.set_in_column(static_cast<std::size_t>(i), j, si.length());
-      }
-      return;
-    }
-
-    // Thread-local scratch: each worker reuses one set of rationing buffers
-    // across its subintervals instead of allocating fresh vectors per heavy
-    // subinterval. The computed values are independent of the buffers'
-    // history, so the result stays bit-identical at any pool size.
-    thread_local RationScratch scratch;
-    thread_local std::vector<double> ders;
-    if (method == AllocationMethod::kEven) {
-      const double share =
-          std::min(si.length(), static_cast<double>(cores) * si.length() /
-                                    static_cast<double>(si.overlapping.size()));
-      scratch.ration.assign(si.overlapping.size(), share);
-    } else {
-      ders.clear();
-      for (const TaskId i : si.overlapping) {
-        // DER (equation (24)): ideal execution time in this subinterval,
-        // scaled by the ideal frequency.
-        ders.push_back(ideal.execution_time_in(i, si.begin, si.end) * ideal.frequency(i));
-      }
-      der_ration_into(ders, cores, si.length(), scratch);
-    }
-    for (std::size_t k = 0; k < si.overlapping.size(); ++k) {
-      avail.set_in_column(static_cast<std::size_t>(si.overlapping[k]), j, scratch.ration[k]);
-    }
+    ration_column(avail, subintervals, j, cores, ideal, method);
   });
   avail.finalize_row_sums(exec);
   return avail;

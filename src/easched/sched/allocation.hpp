@@ -185,6 +185,15 @@ Availability allocate_available_time(const TaskSet& tasks,
                                      const IdealCase& ideal, AllocationMethod method,
                                      const Exec& exec);
 
+/// Fill column `j` of `avail` (`set_in_column`): a light column gives each
+/// overlapping task the full length (Observation 2), a heavy one is rationed
+/// per `method`. This is the allocator's loop body, and the delta planner
+/// recomputes its dirty columns through it too, so a recomputed column is
+/// bit-identical to a from-scratch fill. It writes only column `j` and keeps
+/// its buffers thread-local, so distinct columns may be filled concurrently.
+void ration_column(Availability& avail, const SubintervalDecomposition& subs, std::size_t j,
+                   int cores, const IdealCase& ideal, AllocationMethod method);
+
 /// The heavy-subinterval DER rationing in isolation (Algorithm 2): given each
 /// task's DER and the capacity `cores·length`, return per-task allocations
 /// (same order as `ders`), each in `[0, length]`, summing to at most the

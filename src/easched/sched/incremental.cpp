@@ -47,6 +47,12 @@ namespace easched {
 // fold exactly — provided no *old* merged segment straddles a cut. The
 // expansion loop below moves the cuts outward (always onto old boundary
 // values, which no raw segment crosses) until none does.
+//
+// When D1 covers every column (in a service's moving window, where each
+// live task overlaps most of the others, it nearly always does), the prefix
+// and the suffix of every group are empty: the splice would refold
+// already-folded repacked groups, which changes nothing. That case skips the
+// splice, and the repack of the whole horizon is the plan.
 // ---------------------------------------------------------------------------
 
 DeltaPlanner::DeltaPlanner(PowerModel power, DeltaOptions options)
@@ -205,34 +211,7 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
     std::copy(src.begin(), src.end(), dst.begin());
   });
   exec.loop(d1_count, [&](std::size_t k) {
-    // The allocator's per-column rationing, verbatim (allocation.cpp): the
-    // recomputed cells must match a from-scratch fill bit for bit.
-    const std::size_t j = d1_first + k;
-    const Subinterval& si = (*subs_)[j];
-    if (si.overlapping.empty()) return;
-    if (!si.heavy(options_.cores)) {
-      for (const TaskId i : si.overlapping) {
-        fresh.set_in_column(static_cast<std::size_t>(i), j, si.length());
-      }
-      return;
-    }
-    thread_local std::vector<double> ders;
-    thread_local std::vector<double> ration;
-    if (options_.method == AllocationMethod::kEven) {
-      const double share =
-          std::min(si.length(), static_cast<double>(options_.cores) * si.length() /
-                                    static_cast<double>(si.overlapping.size()));
-      ration.assign(si.overlapping.size(), share);
-    } else {
-      ders.clear();
-      for (const TaskId i : si.overlapping) {
-        ders.push_back(ideal_->execution_time_in(i, si.begin, si.end) * ideal_->frequency(i));
-      }
-      ration = der_ration(ders, options_.cores, si.length());
-    }
-    for (std::size_t m = 0; m < si.overlapping.size(); ++m) {
-      fresh.set_in_column(static_cast<std::size_t>(si.overlapping[m]), j, ration[m]);
-    }
+    ration_column(fresh, *subs_, d1_first + k, options_.cores, *ideal_, options_.method);
   });
   fresh.rebuild_sums(*subs_, exec);
   avail_ = std::move(fresh);
@@ -240,6 +219,15 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   // --- Refinement: O(n) closed form; recomputing every task (not just the
   // dirty ones) costs microseconds and is trivially from-scratch-identical.
   refine(exec);
+
+  // --- Whole-horizon delta: D1 covers every column, so the prefix and the
+  // suffix of every old group are empty and no old segment survives. The
+  // repack of all columns is the from-scratch pack, coalescing included.
+  if (d1_first == 0 && d1_count == columns) {
+    out.repacked_columns += columns;
+    schedule_ = repack(0, columns - 1, exec);
+    return;
+  }
 
   // --- Schedule splice. Index the old schedule's (task, core) groups.
   const std::size_t stride = static_cast<std::size_t>(options_.cores) + 1;
@@ -341,27 +329,8 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
     kept += (g.pre_end - g.begin) + (g.end - g.suf_begin);
   }
 
-  // Repack the window columns from the fresh state — the same generator the
-  // pipeline feeds the packer, restricted to [jlo, jhi].
-  const auto window_items = [&](std::size_t j) -> std::span<const PackItem> {
-    if (j < jlo || j > jhi) return {};
-    thread_local std::vector<PackItem> items;
-    items.clear();
-    const Subinterval& si = (*subs_)[j];
-    for (const TaskId id : si.overlapping) {
-      const auto i = static_cast<std::size_t>(id);
-      const double budget = avail_(i, j);
-      if (budget <= 0.0) continue;
-      const double time = std::min(budget * task_scale_[i], si.length());
-      if (!(time > 0.0)) continue;
-      items.push_back({id, time, final_frequency_[i]});
-    }
-    return items;
-  };
   const Schedule middle =
-      have_window ? pack_subintervals_coalesced(*subs_, options_.cores, window_items,
-                                                static_cast<TaskId>(n) - 1, exec)
-                  : Schedule(options_.cores, std::vector<Segment>{});
+      have_window ? repack(jlo, jhi, exec) : Schedule(options_.cores, std::vector<Segment>{});
   const std::vector<Segment>& msegs = middle.segments();
   struct MidGroup {
     std::size_t key = 0;
@@ -450,6 +419,29 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
     if (km == key) ++mi;
   }
   schedule_ = Schedule(options_.cores, std::move(spliced));
+}
+
+Schedule DeltaPlanner::repack(std::size_t jlo, std::size_t jhi, const Exec& exec) {
+  // The pipeline's final-piece generator (`schedule_with_method`), restricted
+  // to columns [jlo, jhi] and laid out once as a CSR buffer: columns outside
+  // the window get empty slices.
+  pack_items_.clear();
+  pack_offsets_.assign(jlo + 1, 0);
+  for (std::size_t j = jlo; j <= jhi; ++j) {
+    const Subinterval& si = (*subs_)[j];
+    for (const TaskId id : si.overlapping) {
+      const auto i = static_cast<std::size_t>(id);
+      const double budget = avail_(i, j);
+      if (budget <= 0.0) continue;
+      const double time = std::min(budget * task_scale_[i], si.length());
+      if (!(time > 0.0)) continue;
+      pack_items_.push_back({id, time, final_frequency_[i]});
+    }
+    pack_offsets_.push_back(pack_items_.size());
+  }
+  pack_offsets_.resize(subs_->size() + 1, pack_items_.size());
+  return pack_subintervals_coalesced(*subs_, options_.cores,
+                                     std::span<const PackItem>(pack_items_), pack_offsets_, exec);
 }
 
 bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& out) {

@@ -24,7 +24,9 @@
 ///   4. re-runs the O(n) F2 frequency refinement (closed form per task),
 ///   5. re-packs only the dirty subinterval span and splices the resulting
 ///      segment groups into the cached schedule, re-running the coalescing
-///      fold once over the spliced groups.
+///      fold once over the spliced groups. When the dirty span covers the
+///      whole horizon no old segment survives, so the splice is skipped and
+///      the repack is the new schedule.
 ///
 /// The headline contract is *exactness*: the plan after `plan_to` is
 /// bit-identical — same availability values, same frequencies, same energy
@@ -44,6 +46,7 @@
 #include "easched/power/power_model.hpp"
 #include "easched/sched/allocation.hpp"
 #include "easched/sched/ideal.hpp"
+#include "easched/sched/packing.hpp"
 #include "easched/sched/schedule.hpp"
 #include "easched/tasksys/subintervals.hpp"
 #include "easched/tasksys/task_set.hpp"
@@ -141,15 +144,19 @@ class DeltaPlanner {
   /// Shared tail of both single-task ops: recompute the `d1_count` dirty
   /// availability columns starting at `d1_first`, refold the sums, re-run
   /// the refinement, and splice the repacked window into the cached
-  /// schedule. `removed_old` is the removed task's *old* id (or -1 for an
-  /// append): its old segment groups are dropped and higher old ids shift
-  /// down by one. `d1_count == 0` (removals only) means the removed task lay
-  /// entirely outside the surviving horizon and only the schedule re-key
-  /// runs.
+  /// schedule (or, when the dirty columns are the whole horizon, replace it
+  /// with the repack). `removed_old` is the removed task's *old* id (or -1
+  /// for an append): its old segment groups are dropped and higher old ids
+  /// shift down by one. `d1_count == 0` (removals only) means the removed
+  /// task lay entirely outside the surviving horizon and only the schedule
+  /// re-key runs.
   void rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count,
                           const std::vector<char>& in_dirty_set, TaskId removed_old,
                           const Exec& exec, DeltaOutcome& out);
   void refine(const Exec& exec);
+  /// Pack columns `[jlo, jhi]` of the refined state (coalesced), from a CSR
+  /// item buffer built once; columns outside the range contribute nothing.
+  Schedule repack(std::size_t jlo, std::size_t jhi, const Exec& exec);
   /// True when `value` can be spliced into the boundary array without
   /// violating the constructor's merge invariant (every pair of distinct
   /// values farther apart than `merge_tol`).
@@ -180,6 +187,8 @@ class DeltaPlanner {
   std::vector<double> task_energy_;
   double final_energy_ = 0.0;
   Schedule schedule_;
+  std::vector<PackItem> pack_items_;        ///< `repack`'s CSR items, reused
+  std::vector<std::size_t> pack_offsets_;   ///< `repack`'s CSR offsets, reused
 
   /// Pending `reserve` request, applied when the decomposition exists.
   std::size_t reserve_tasks_ = 0;

@@ -52,13 +52,13 @@ std::string plan_signature(std::span<const std::pair<TaskId, Task>> live, double
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
 
-std::optional<CachedPlan> PlanCache::lookup(const std::string& signature,
-                                            std::uint64_t* hit_age) {
+std::shared_ptr<const CachedPlan> PlanCache::lookup(const std::string& signature,
+                                                    std::uint64_t* hit_age) {
   ++ops_;
   auto it = entries_.find(signature);
   if (it == entries_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   if (hit_age != nullptr) *hit_age = ops_ - it->second->written_op;
@@ -67,6 +67,12 @@ std::optional<CachedPlan> PlanCache::lookup(const std::string& signature,
 }
 
 void PlanCache::insert(const std::string& signature, CachedPlan plan) {
+  if (capacity_ == 0) return;
+  insert(signature, std::make_shared<const CachedPlan>(std::move(plan)));
+}
+
+void PlanCache::insert(const std::string& signature, std::shared_ptr<const CachedPlan> plan) {
+  EASCHED_EXPECTS(plan != nullptr);
   if (capacity_ == 0) return;
   ++ops_;
   auto it = entries_.find(signature);

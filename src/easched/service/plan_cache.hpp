@@ -18,7 +18,7 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -60,16 +60,20 @@ class PlanCache {
   /// Keep at most `capacity` plans; `capacity == 0` disables caching.
   explicit PlanCache(std::size_t capacity = 128);
 
-  /// Look up a signature; a hit refreshes its LRU position. When
-  /// `hit_age != nullptr` and the lookup hits, it receives the entry's age
-  /// in cache operations (lookups + inserts since the entry was written) —
-  /// the service's `plan_cache_hit_age` histogram feeds from it.
-  std::optional<CachedPlan> lookup(const std::string& signature,
-                                   std::uint64_t* hit_age = nullptr);
+  /// Look up a signature; a hit refreshes its LRU position and shares the
+  /// cached plan (null on a miss) — reading a hit's energy copies no
+  /// schedule. When `hit_age != nullptr` and the lookup hits, it receives
+  /// the entry's age in cache operations (lookups + inserts since the entry
+  /// was written) — the service's `plan_cache_hit_age` histogram feeds
+  /// from it.
+  std::shared_ptr<const CachedPlan> lookup(const std::string& signature,
+                                           std::uint64_t* hit_age = nullptr);
 
   /// Insert (or overwrite) the plan for `signature`, evicting the least
   /// recently used entry when over capacity.
   void insert(const std::string& signature, CachedPlan plan);
+  /// Same, sharing a plan the caller also keeps.
+  void insert(const std::string& signature, std::shared_ptr<const CachedPlan> plan);
 
   void clear();
 
@@ -88,7 +92,7 @@ class PlanCache {
  private:
   struct Entry {
     std::string signature;
-    CachedPlan plan;
+    std::shared_ptr<const CachedPlan> plan;
     std::uint64_t written_op = 0;  ///< operation count when the plan was written
   };
 

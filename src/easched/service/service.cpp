@@ -147,8 +147,8 @@ ServiceDecision SchedulerService::submit_wait(const Task& task, std::string rid)
 AdmissionDecision SchedulerService::quote(const Task& task) {
   std::lock_guard lock(state_mutex_);
   metrics_.increment("quotes_total");
-  const CachedPlan base = plan_for_committed_locked();
-  return evaluate_locked(task, base.energy, /*commit=*/false, nullptr);
+  const double energy = plan_for_committed_locked()->energy;
+  return evaluate_locked(task, energy, /*commit=*/false, nullptr);
 }
 
 bool SchedulerService::complete(TaskId id) {
@@ -200,12 +200,12 @@ std::vector<TaskId> SchedulerService::committed_ids() const {
 
 Schedule SchedulerService::current_plan() {
   std::lock_guard lock(state_mutex_);
-  return plan_for_committed_locked().schedule;
+  return plan_for_committed_locked()->schedule;
 }
 
 double SchedulerService::current_energy() {
   std::lock_guard lock(state_mutex_);
-  return plan_for_committed_locked().energy;
+  return plan_for_committed_locked()->energy;
 }
 
 RuntimeReport SchedulerService::simulate_runtime(const RuntimeOptions& runtime_options) {
@@ -217,7 +217,7 @@ RuntimeReport SchedulerService::simulate_runtime(const RuntimeOptions& runtime_o
     committed.reserve(committed_.size());
     for (const auto& [id, task] : committed_) committed.push_back(task);
     tasks = TaskSet(std::move(committed));
-    if (!tasks.empty()) plan = plan_for_committed_locked().schedule;
+    if (!tasks.empty()) plan = plan_for_committed_locked()->schedule;
     metrics_.increment("runtime_simulations_total");
   }
   if (tasks.empty()) {
@@ -236,9 +236,9 @@ ServiceSnapshot SchedulerService::snapshot() {
   snap.cores = options_.cores;
   snap.next_id = next_id_;
   snap.committed = committed_;
-  const CachedPlan plan = plan_for_committed_locked();
-  snap.plan = plan.schedule;
-  snap.energy = plan.energy;
+  const std::shared_ptr<const CachedPlan> plan = plan_for_committed_locked();
+  snap.plan = plan->schedule;
+  snap.energy = plan->energy;
   metrics_.increment("snapshots_total");
   snap.counters = metrics_.snapshot().counters;
   return snap;
@@ -303,7 +303,7 @@ void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
     bool baseline_failed = false;
     std::string baseline_reason;
     try {
-      energy_before = plan_for_committed_locked().energy;
+      energy_before = plan_for_committed_locked()->energy;
     } catch (const PlanningError& e) {
       baseline_failed = true;
       baseline_reason = e.what();
@@ -422,13 +422,11 @@ FallbackOptions SchedulerService::fallback_options() const {
   return fo;
 }
 
-CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId, Task>>& live,
-                                             const std::string& raw_signature) {
+std::shared_ptr<const CachedPlan> SchedulerService::plan_set_locked(
+    const std::vector<std::pair<TaskId, Task>>& live, const std::string& raw_signature) {
   if (live.empty()) {
-    CachedPlan empty;
-    empty.schedule = Schedule(options_.cores);
-    empty.rung = PlanRung::kNone;
-    return empty;
+    return std::make_shared<const CachedPlan>(
+        CachedPlan{0.0, Schedule(options_.cores), PlanRung::kNone});
   }
   // Salt the cache key with the brownout level: a degraded (F2- or F1-only)
   // plan cached at level > 0 must never be served as the full-service plan
@@ -446,7 +444,7 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   if (auto hit = cache_.lookup(signature, &hit_age)) {
     metrics_.increment("plan_cache_hits_total");
     metrics_.observe_bucketed("plan_cache_hit_age", static_cast<double>(hit_age));
-    return *hit;
+    return hit;
   }
   metrics_.increment("plan_cache_misses_total");
   std::vector<Task> tasks;
@@ -476,7 +474,8 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
         metrics_.increment("plans_by_rung_der");
         delta_span.arg("ops", static_cast<double>(outcome.ops));
         delta_span.set_status(outcome.delta ? "delta" : "rebuild");
-        CachedPlan plan{delta.energy, std::move(delta.schedule), PlanRung::kDer};
+        auto plan = std::make_shared<const CachedPlan>(
+            CachedPlan{delta.energy, std::move(delta.schedule), PlanRung::kDer});
         cache_.insert(signature, plan);
         return plan;
       }
@@ -514,7 +513,7 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
       delta_planner_->invalidate();
     }
   }
-  const FallbackPlan planned =
+  FallbackPlan planned =
       plan_with_fallback(task_set, options_.cores, power_, chain_options, kernel_exec());
   metrics_.observe_bucketed(plan_latency_metric(planned.outcome.served),
                             elapsed_us(plan_started));
@@ -532,12 +531,13 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   metrics_.increment(std::string("plans_by_rung_") +
                      std::string(plan_rung_name(planned.outcome.served)));
   if (planned.outcome.degraded()) metrics_.increment("fallback_degraded_total");
-  CachedPlan plan{planned.energy, planned.schedule, planned.outcome.served};
+  auto plan = std::make_shared<const CachedPlan>(
+      CachedPlan{planned.energy, std::move(planned.schedule), planned.outcome.served});
   cache_.insert(signature, plan);
   return plan;
 }
 
-CachedPlan SchedulerService::plan_for_committed_locked() {
+std::shared_ptr<const CachedPlan> SchedulerService::plan_for_committed_locked() {
   return plan_set_locked(committed_, committed_signature_locked());
 }
 
@@ -643,12 +643,12 @@ AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,
   // plan behind, so an admit after a quote re-plans nothing. Throws
   // `PlanningError` when every rung fails — the caller converts that into
   // a reasoned rejection.
-  const CachedPlan plan = plan_set_locked(merged, merged_signature);
+  const std::shared_ptr<const CachedPlan> plan = plan_set_locked(merged, merged_signature);
 
   decision.admitted = true;
-  decision.energy_after = plan.energy;
+  decision.energy_after = plan->energy;
   decision.marginal_energy = decision.energy_after - decision.energy_before;
-  if (out_rung != nullptr) *out_rung = plan.rung;
+  if (out_rung != nullptr) *out_rung = plan->rung;
   if (commit) {
     if (out_id != nullptr) *out_id = next_id_;
     committed_ = std::move(merged);

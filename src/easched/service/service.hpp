@@ -61,6 +61,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -286,12 +287,13 @@ class SchedulerService {
   FallbackOptions fallback_options() const;
   /// Plan `live` (whose cache key is `signature`) through the cache and the
   /// fallback chain; records rung metrics. Throws `PlanningError` when every
-  /// rung fails. Caller holds `state_mutex_`.
-  CachedPlan plan_set_locked(const std::vector<std::pair<TaskId, Task>>& live,
-                             const std::string& signature);
+  /// rung fails. The plan is shared with the cache, so a hit copies no
+  /// schedule. Caller holds `state_mutex_`.
+  std::shared_ptr<const CachedPlan> plan_set_locked(
+      const std::vector<std::pair<TaskId, Task>>& live, const std::string& signature);
   /// Plan (and energy) for the current committed set, via the cache.
   /// Caller holds `state_mutex_`.
-  CachedPlan plan_for_committed_locked();
+  std::shared_ptr<const CachedPlan> plan_for_committed_locked();
   /// Memoized signature of the committed set: rebuilt only after a mutation
   /// invalidated it, so steady-state quotes/baselines skip the O(n) rebuild.
   /// Caller holds `state_mutex_`.

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string_view>
 #include <vector>
@@ -40,6 +41,13 @@ struct ReplayStats {
   std::size_t delta_steps = 0;  ///< steps served by the splice path
   std::size_t single_ops = 0;   ///< single-task ops applied across all steps
   std::size_t full_rebuilds = 0;
+  /// Delta steps that applied two or more single-task ops in one call.
+  std::size_t chain_steps = 0;
+  /// Single-op delta steps whose dirty span and repack covered every column
+  /// (the planner's whole-horizon branch).
+  std::size_t whole_horizon_steps = 0;
+  /// Most availability columns one single-op delta recomputed.
+  std::size_t max_dirty_columns = 0;
 };
 
 /// Exact equality of a delta-planner availability against the from-scratch
@@ -107,6 +115,14 @@ inline void expect_step_identical(DeltaPlanner& planner, const TaskSet& live,
   if (outcome.delta) {
     ++stats.delta_steps;
     stats.single_ops += outcome.ops;
+    if (outcome.ops >= 2) ++stats.chain_steps;
+    if (outcome.ops == 1) {
+      const std::size_t columns = planner.decomposition().size();
+      if (outcome.dirty_columns == columns && outcome.repacked_columns == columns) {
+        ++stats.whole_horizon_steps;
+      }
+      stats.max_dirty_columns = std::max(stats.max_dirty_columns, outcome.dirty_columns);
+    }
   } else {
     ++stats.full_rebuilds;
   }

@@ -6,10 +6,13 @@
 // fold, segment list — and both schedules must pass the validator. A second
 // battery replays the same sequences on different pool sizes and asserts the
 // delta plans agree across pools step for step (the determinism contract of
-// `parallel/exec.hpp` extended to the splice path).
+// `parallel/exec.hpp` extended to the splice path). A third replays
+// service-shaped moving windows, where deltas dirty the whole horizon and the
+// planner serves the repack without a splice.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -140,6 +143,71 @@ TEST(IncrementalDifferential, DeltaPlansBitIdenticalAcrossPools) {
         if (HasFatalFailure()) return;
       }
     }
+  }
+}
+
+// Service-shaped moving window, the admission stream the service plans: an
+// arrival at model time t brings R = t + U(0,2), D = R + U(10,20) and
+// C = U(0.2,1.5), and a task leaves once the clock passes its deadline. At
+// `rate` arrivals per time unit ~16·rate tasks are live. As in the service,
+// expired tasks are removed in place and the arrival is appended, so one
+// `plan_to` applies every expiry since the previous arrival plus the admit.
+ReplayStats replay_moving_window(std::size_t seed, double rate, std::size_t arrivals, int cores,
+                                 const Exec& exec) {
+  Rng rng(Rng::seed_of("incremental-moving-window", seed));
+  const PowerModel power(3.0, 0.05);
+  DeltaOptions options;
+  options.cores = cores;
+  DeltaPlanner planner(power, options);
+  ReplayStats stats;
+  std::vector<Task> live;
+  double t = 0.0;
+  for (std::size_t a = 0; a < arrivals; ++a) {
+    t += -std::log(1.0 - rng.uniform()) / rate;
+    std::erase_if(live, [t](const Task& task) { return task.deadline < t; });
+    const double release = t + rng.uniform(0.0, 2.0);
+    const double deadline = release + rng.uniform(10.0, 20.0);
+    live.push_back(Task{release, deadline, rng.uniform(0.2, 1.5)});
+    differential::expect_step_identical(planner, TaskSet(live), power, cores, exec, stats);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  return stats;
+}
+
+// ~27 live, the per-shard load of the benchmark's streams: nearly every
+// delta dirties the whole horizon, so this is where the whole-horizon branch
+// (no splice) serves the plan; chains of expiries plus one admit cover the
+// multi-op path through it.
+TEST(IncrementalDifferential, MovingWindowDeltasMatchFromScratch) {
+  constexpr std::size_t kArrivals = 160;
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  for (const Exec& exec : {Exec::serial(), Exec::on(pool2), Exec::on(pool8)}) {
+    for (std::size_t seed = 0; seed < 3; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pool=" << (exec.pool ? exec.pool->thread_count() : 0) << " seed=" << seed);
+      const ReplayStats stats = replay_moving_window(seed, 1.7, kArrivals, 4, exec);
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(stats.steps, kArrivals);
+      ASSERT_GE(stats.delta_steps * 10, (stats.steps - 1) * 9);
+      EXPECT_GT(stats.whole_horizon_steps, 0u) << "whole-horizon branch never ran";
+      EXPECT_GT(stats.chain_steps, 0u) << "no step chained several expiries with an admit";
+    }
+  }
+}
+
+// ~80 live: the dirty-column pass runs past the kernel grain, so pools really
+// fan `ration_column` out and its thread-local scratch is shared by workers.
+TEST(IncrementalDifferential, MovingWindowAboveGrainMatchesFromScratch) {
+  for (const std::size_t threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const ReplayStats stats = replay_moving_window(7, 5.0, 120, 4, Exec::on(pool));
+    if (HasFatalFailure()) return;
+    ASSERT_GE(stats.delta_steps * 10, (stats.steps - 1) * 9);
+    EXPECT_GT(stats.whole_horizon_steps, 0u);
+    EXPECT_GE(stats.max_dirty_columns, kMinParallelIterations)
+        << "no delta fanned its dirty columns out";
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +60,14 @@ TEST(PlanCacheTest, MissThenHit) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
+}
+
+TEST(PlanCacheTest, HitSharesTheInsertedPlanWithoutCopying) {
+  PlanCache cache(4);
+  const auto plan = std::make_shared<const CachedPlan>(CachedPlan{7.0, {}});
+  cache.insert("sig", plan);
+  EXPECT_EQ(cache.lookup("sig"), plan);
+  EXPECT_THROW(cache.insert("null", std::shared_ptr<const CachedPlan>{}), ContractViolation);
 }
 
 TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
